@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI job: build with ASan + UBSan (BDLFI_SANITIZE=ON) and run the test suite.
+# CI job: build with ASan + UBSan (BDLFI_SANITIZE=ON) and run the test suite,
+# then run the thread-pool-heavy suites in a separate ThreadSanitizer build.
 # The resilience layer (signal handlers, checkpoint serialization, chain
 # retry/quarantine) is the main consumer: those paths have exactly the
 # use-after-free / UB failure modes sanitizers exist to catch.
@@ -111,3 +112,25 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure \
 echo "=== posterior-guided hardening suite ==="
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
   -R 'HardenTest|tab_hardening_loop_'
+
+# ThreadSanitizer pass. parallel_for_chunked hands out chunks through a
+# lock-free cursor and lets a waiting pool worker run its own call's chunks,
+# and the conv panels share per-thread scratch across nested calls: races
+# there are invisible to ASan. TSan cannot share a build with ASan, so it
+# gets its own, instrumented through CMAKE_CXX_FLAGS (compile and link) and
+# limited to the suites that drive the pool from several threads.
+TSAN_DIR="${BUILD_DIR}-tsan"
+cmake -B "$TSAN_DIR" -S . \
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS="-fsanitize=thread"
+cmake --build "$TSAN_DIR" -j "$(nproc)" \
+  --target util_thread_pool_test multi_mask_test plan_test replay_test
+export TSAN_OPTIONS="halt_on_error=1"
+for backend in scalar avx2; do
+  if [ "$backend" = avx2 ] && ! grep -q avx2 /proc/cpuinfo 2>/dev/null; then
+    continue
+  fi
+  echo "=== thread pool / nested parallel_for suite (TSan) under BDLFI_BACKEND=$backend ==="
+  BDLFI_BACKEND="$backend" ctest --test-dir "$TSAN_DIR" --output-on-failure \
+    -R 'ThreadPool|ParallelFor|MultiMask|PlanTest|Replay'
+done

@@ -13,25 +13,29 @@ namespace bdlfi::tensor {
 
 namespace {
 
-// Per-thread grow-only scratch arena for the im2col workspaces. Conv
-// forward/backward used to allocate (and zero) a fresh `cols` buffer per
-// sample; a campaign evaluates the same geometry millions of times, so the
-// buffers are hoisted here and sized high-water-mark once per thread. Slots
-// keep the simultaneously-live buffers of one call apart; calls never nest
-// within a thread (conv2d_forward / conv2d_backward / conv2d_forward_multi
-// all use the arena only for the duration of their own loop bodies).
+// Per-thread grow-only scratch arena for the im2col panels and the GEMM
+// output staging. A campaign evaluates the same geometry millions of times,
+// so the buffers are sized high-water-mark once per thread. Slots keep the
+// simultaneously-live buffers of one call apart. Calls never nest within a
+// thread: every conv entry point uses its slots only inside its own loop
+// bodies, the only parallel call such a body makes is gemm's row split
+// (whose chunks touch no scratch), and a thread waiting in parallel_for runs
+// chunks of its own call only (util/thread_pool.h). A slot grows to at least
+// kMinScratchFloats at once: which tiles a thread claims varies from call to
+// call, and the floor keeps a thread that has run any tile from allocating
+// again for every later small panel.
 float* scratch_floats(std::size_t slot, std::size_t n) {
+  constexpr std::size_t kMinScratchFloats = 64 * 1024;
   thread_local std::vector<float> buffers[4];
   std::vector<float>& buf = buffers[slot];
-  if (buf.size() < n) buf.resize(n);
+  if (buf.size() < n) buf.resize(std::max(n, kMinScratchFloats));
   return buf.data();
 }
 
 // im2col into a panel with an explicit destination leading dimension: row r
 // of the patch axis lands at cols[r * dst_ld + dst_col0 ...]. This is how
 // several samples' columns fuse side by side into one wide [patch, T*OH*OW]
-// panel for the multi-variant GEMM. im2col below is the dst_ld == OH*OW,
-// dst_col0 == 0 special case (kept separate: it is the sequential hot path).
+// panel. im2col is the dst_ld == OH*OW, dst_col0 == 0 case.
 void im2col_ld(const float* input, std::int64_t channels, std::int64_t h,
                std::int64_t w, const Conv2dSpec& spec, float* cols,
                std::int64_t dst_ld, std::int64_t dst_col0) {
@@ -170,29 +174,8 @@ std::vector<std::int64_t> argmax_rows(const Tensor& m) {
 
 void im2col(const float* input, std::int64_t channels, std::int64_t h,
             std::int64_t w, const Conv2dSpec& spec, float* cols) {
-  const std::int64_t oh = spec.out_h(h), ow = spec.out_w(w);
-  const std::int64_t cols_w = oh * ow;
-  std::int64_t row = 0;
-  for (std::int64_t c = 0; c < channels; ++c) {
-    for (std::int64_t kh = 0; kh < spec.kernel_h; ++kh) {
-      for (std::int64_t kw = 0; kw < spec.kernel_w; ++kw, ++row) {
-        float* dst = cols + row * cols_w;
-        for (std::int64_t oy = 0; oy < oh; ++oy) {
-          const std::int64_t iy = oy * spec.stride - spec.pad_h + kh;
-          if (iy < 0 || iy >= h) {
-            std::fill(dst + oy * ow, dst + (oy + 1) * ow, 0.0f);
-            continue;
-          }
-          const float* src_row = input + (c * h + iy) * w;
-          for (std::int64_t ox = 0; ox < ow; ++ox) {
-            const std::int64_t ix = ox * spec.stride - spec.pad_w + kw;
-            dst[oy * ow + ox] =
-                (ix >= 0 && ix < w) ? src_row[ix] : 0.0f;
-          }
-        }
-      }
-    }
-  }
+  im2col_ld(input, channels, h, w, spec, cols, spec.out_h(h) * spec.out_w(w),
+            0);
 }
 
 void col2im(const float* cols, std::int64_t channels, std::int64_t h,
@@ -251,7 +234,23 @@ void conv2d_forward_into(const Tensor& input, const Tensor& weight,
   BDLFI_CHECK(output.shape() == Shape({n, o, oh, ow}));
   BDLFI_CHECK_MSG(output.data() != input.data(),
                   "conv2d_forward_into cannot run in place");
+  if (n == 0) return;
 
+  if (ctx.config.mode == abft::Mode::kOff &&
+      (ctx.flips == nullptr || ctx.flips->empty())) {
+    // Inactive context: gemm_checked would be a plain gemm, so the batch
+    // runs as fused [patch, T*OH*OW] panels, one GEMM per tile of samples
+    // instead of one narrow GEMM per sample. Per element the results are
+    // bit-identical (backend.h: panel width never changes a GEMM element).
+    const float* weights[1] = {weight.data()};
+    const float* biases[1] = {bias.empty() ? nullptr : bias.data()};
+    conv2d_forward_multi(input.data(), /*shared_input=*/false, 1, n, c, h, w,
+                         weights, biases, o, spec, output.data());
+    return;
+  }
+
+  // Active context: the row checksums and compute-flip addresses of
+  // gemm_checked are defined per sample's [O, OH*OW] output window.
   util::parallel_for(0, static_cast<std::size_t>(n), [&](std::size_t s) {
     float* cols = scratch_floats(0, static_cast<std::size_t>(patch * oh * ow));
     const float* in = input.data() + static_cast<std::int64_t>(s) * c * h * w;
@@ -287,16 +286,27 @@ void conv2d_forward_multi(const float* input, bool shared_input,
   const std::int64_t chw = c * h * w;
   const auto v_count = static_cast<std::int64_t>(variants);
 
-  // Samples per panel: target ~1 MiB panels (L2-resident across the variant
-  // passes) and bound the per-tile output staging buffer.
-  constexpr std::int64_t kPanelFloats = 256 * 1024;
-  std::int64_t tile =
-      std::clamp<std::int64_t>(kPanelFloats / std::max<std::int64_t>(
-                                                  1, patch * ohow),
-                               1, n);
-  const std::int64_t stage_cap =
-      std::max<std::int64_t>(1, (4 << 20) / (v_count * o * ohow));
-  tile = std::min(tile, stage_cap);
+  // Samples per panel. At most ~256 KiB of panel (cache-resident across the
+  // row-block and variant passes) and a bounded per-tile output staging
+  // buffer. Within that, the batch splits into up to one tile per pool
+  // thread, as long as every tile keeps kMinPanelCols columns: a layer whose
+  // whole batch fits one panel (late ResNet blocks, OH*OW = 4) still spreads
+  // over the cores, without shrinking panels into the kernels' scalar
+  // column remainder. Tiles are then evened out so the last one is not a
+  // sliver.
+  constexpr std::int64_t kPanelFloats = 64 * 1024;
+  constexpr std::int64_t kMinPanelCols = 64;
+  const std::int64_t max_tile = std::min(
+      std::clamp<std::int64_t>(
+          kPanelFloats / std::max<std::int64_t>(1, patch * ohow), 1, n),
+      std::max<std::int64_t>(1, (4 << 20) / (v_count * o * ohow)));
+  const auto threads =
+      static_cast<std::int64_t>(util::ThreadPool::global().size());
+  const std::int64_t want_tiles = std::clamp<std::int64_t>(
+      std::max((n + max_tile - 1) / max_tile,
+               std::min(threads, n * ohow / kMinPanelCols)),
+      1, n);
+  const std::int64_t tile = (n + want_tiles - 1) / want_tiles;
   const std::int64_t num_tiles = (n + tile - 1) / tile;
 
   const backend::KernelBackend& be = backend::active();

@@ -90,6 +90,9 @@ Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
 /// (pre-shaped by the caller, must not alias `input`). Bit-exact with the
 /// allocating overloads — they are thin wrappers around this. The only
 /// per-call storage is the thread-local im2col scratch, which is grow-once.
+/// With an inactive ctx (ABFT off, no flips) this is conv2d_forward_multi
+/// with one variant: fused multi-sample panels, bit-identical per element to
+/// the per-sample GEMMs an active ctx runs through abft::gemm_checked.
 void conv2d_forward_into(const Tensor& input, const Tensor& weight,
                          const Tensor& bias, const Conv2dSpec& spec,
                          const abft::OpContext& ctx, Tensor& output);

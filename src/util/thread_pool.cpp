@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
+#include <memory>
 
 #include "obs/metrics.h"
 #include "util/check.h"
@@ -25,6 +27,10 @@ struct PoolMetrics {
     return m;
   }
 };
+
+// The pool whose worker_loop this thread runs (nullptr outside any pool).
+// parallel_for_chunked uses it to tell a nested caller from an outside one.
+thread_local const ThreadPool* tl_worker_of = nullptr;
 
 }  // namespace
 
@@ -66,6 +72,7 @@ void ThreadPool::wait_idle() {
 }
 
 void ThreadPool::worker_loop() {
+  tl_worker_of = this;
   for (;;) {
     std::function<void()> task;
     {
@@ -138,6 +145,65 @@ void parallel_for(std::size_t begin, std::size_t end,
       pool);
 }
 
+namespace {
+
+// Shared state of one parallel_for_chunked call. It lives on the heap and is
+// co-owned by every helper task, because a helper may start after the call
+// has returned (other threads claimed every chunk). Such a helper finds the
+// cursor exhausted and touches nothing else: `fn` is dereferenced only after
+// a successful claim, and the call cannot return before every claimed chunk
+// is done, so a claimed chunk always sees the caller's `fn` alive.
+struct ChunkedCall {
+  using Fn = std::function<void(std::size_t, std::size_t, std::size_t)>;
+
+  ChunkedCall(std::size_t begin, std::size_t n, std::size_t num_chunks,
+              const Fn& fn)
+      : begin(begin),
+        num_chunks(num_chunks),
+        base(n / num_chunks),
+        extra(n % num_chunks),
+        fn(&fn) {}
+
+  // Claims and runs chunks until the cursor is exhausted. Chunk c always
+  // covers the same static range, whichever thread claims it.
+  void run() {
+    for (;;) {
+      const std::size_t c = next.fetch_add(1);
+      if (c >= num_chunks) return;
+      const std::size_t lo = begin + c * base + std::min(c, extra);
+      const std::size_t hi = lo + base + (c < extra ? 1 : 0);
+      std::exception_ptr error;
+      try {
+        (*fn)(c, lo, hi);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      if (error && !first_error) first_error = error;
+      if (++done == num_chunks) cv.notify_all();
+    }
+  }
+
+  // Blocks until every chunk has finished, then rethrows the first exception
+  // a chunk raised (the caller's frame must outlive every running chunk, so
+  // an exception may not unwind it early).
+  void wait() {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [this] { return done == num_chunks; });
+    if (first_error) std::rethrow_exception(first_error);
+  }
+
+  const std::size_t begin, num_chunks, base, extra;
+  const Fn* const fn;
+  std::atomic<std::size_t> next{0};
+  std::mutex mu;  // guards done, first_error
+  std::condition_variable cv;
+  std::size_t done = 0;
+  std::exception_ptr first_error;
+};
+
+}  // namespace
+
 void parallel_for_chunked(
     std::size_t begin, std::size_t end, std::size_t num_chunks,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& fn,
@@ -150,27 +216,18 @@ void parallel_for_chunked(
     fn(0, begin, end);
     return;
   }
-  const std::size_t base = n / num_chunks;
-  const std::size_t extra = n % num_chunks;
-  // A dedicated latch-like barrier: reuse the pool's wait_idle would race with
-  // other concurrent users, so count completions locally.
-  std::mutex mu;
-  std::condition_variable cv;
-  std::size_t remaining = num_chunks;
-  std::size_t lo = begin;
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    const std::size_t len = base + (c < extra ? 1 : 0);
-    const std::size_t hi = lo + len;
-    pool->submit([&, c, lo, hi] {
-      fn(c, lo, hi);
-      std::lock_guard<std::mutex> lock(mu);
-      if (--remaining == 0) cv.notify_all();
-    });
-    lo = hi;
+  auto call = std::make_shared<ChunkedCall>(begin, n, num_chunks, fn);
+  // A worker of this pool claims chunks itself, so it needs one helper fewer.
+  // An outside caller only waits, which keeps a top-level call at exactly
+  // pool-size runnable threads.
+  const bool caller_runs = tl_worker_of == pool;
+  const std::size_t helpers =
+      std::min(num_chunks, pool->size()) - (caller_runs ? 1 : 0);
+  for (std::size_t i = 0; i < helpers; ++i) {
+    pool->submit([call] { call->run(); });
   }
-  BDLFI_CHECK(lo == end);
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return remaining == 0; });
+  if (caller_runs) call->run();
+  call->wait();
 }
 
 }  // namespace bdlfi::util

@@ -6,6 +6,28 @@
 // Reproducibility note: callers that need determinism must derive one RNG
 // stream per *index range* (not per thread); `parallel_for_chunked` exposes
 // the chunk id for exactly that purpose.
+//
+// Nesting. Pool workers call parallel_for on their own pool: an MCMC chain
+// runs as a pool task, and its conv layers and GEMMs split their work across
+// the same pool. Three rules make that safe and keep every core busy:
+//  - Caller runs. A parallel_for_chunked call hands out its chunks through an
+//    atomic cursor in heap-held shared state. Helper tasks queued on the pool
+//    claim chunks from it, and a caller that is a worker of the same pool
+//    claims chunks too before it waits. An outside caller (such as the main
+//    thread dispatching chains) only waits, so a top-level call still has
+//    exactly pool-size runnable threads.
+//  - Own chunks only. A waiting caller runs chunks of its own call, never
+//    unrelated queued tasks. Thread-local scratch relies on this (calls never
+//    nest within a thread, see tensor/ops.cpp): a thread inside one conv's
+//    loop body never starts another conv's loop body.
+//  - No deadlock. A caller waits only for chunks that another thread has
+//    claimed and is running. Such a chunk waits in turn only on chunks of
+//    deeper calls that are likewise claimed and running, so by induction on
+//    the nesting depth every wait ends, however many workers are busy. A
+//    helper that starts after its call returned finds the cursor exhausted
+//    and touches only the shared state, never the caller's stack.
+// An exception thrown by a chunk is rethrown to the caller once every chunk
+// has finished.
 #pragma once
 
 #include <condition_variable>

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <future>
 #include <vector>
 
 #include "bayes/fault_network.h"
@@ -19,6 +20,7 @@
 #include "tensor/ops.h"
 #include "train/trainer.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace bdlfi::tensor::abft {
 namespace {
@@ -180,6 +182,40 @@ TEST(AbftChecksum, NonFiniteRowAlwaysFails) {
   const FlipList flips = {{0, 30}, {1, 30}, {2, 30}};
   run_checked(false, false, 2, 4, 4, Mode::kDetect, &flips, &stats, &c, rng);
   EXPECT_GE(stats.detected_rows.load(), 1u);
+}
+
+TEST(AbftConv, NestedGemmCompletesOnGlobalPool) {
+  // The width-0.25 ResNet block0 shape: C = O = 16, 16x16, 3x3, batch 8.
+  // Detect mode takes the per-sample checked path, whose 590k-flop GEMMs
+  // exceed gemm's parallel threshold, so every sample chunk nests a row
+  // split on the same pool. With all workers in sample chunks that used to
+  // hang; it must complete from the main thread and from a pool task.
+  util::Rng rng{31};
+  const Tensor input = Tensor::randn(Shape{8, 16, 16, 16}, rng);
+  const Tensor weight = Tensor::randn(Shape{16, 16, 3, 3}, rng);
+  const Tensor bias = Tensor::randn(Shape{16}, rng);
+  const Conv2dSpec spec;  // 3x3, stride 1, pad 1
+  Stats stats;
+  OpContext ctx;
+  ctx.config.mode = Mode::kDetect;
+  ctx.stats = &stats;
+
+  const Tensor from_main = conv2d_forward(input, weight, bias, spec, ctx);
+  std::promise<Tensor> promise;
+  std::future<Tensor> from_task = promise.get_future();
+  util::ThreadPool::global().submit([&] {
+    promise.set_value(conv2d_forward(input, weight, bias, spec, ctx));
+  });
+  const Tensor nested = from_task.get();
+
+  // A clean checked conv leaves the output untouched, so it also matches the
+  // unchecked panel path bit for bit.
+  const Tensor panel = conv2d_forward(input, weight, bias, spec);
+  const auto bytes = static_cast<std::size_t>(panel.numel()) * sizeof(float);
+  EXPECT_EQ(std::memcmp(from_main.data(), panel.data(), bytes), 0);
+  EXPECT_EQ(std::memcmp(nested.data(), panel.data(), bytes), 0);
+  EXPECT_EQ(stats.checks.load(), 16u);  // one per sample per call
+  EXPECT_EQ(stats.detected_rows.load(), 0u);
 }
 
 // --- Network-level transparency and plumbing -------------------------------

@@ -1,12 +1,16 @@
 // Numeric kernels vs naive references: GEMM (all transpose combos), softmax,
-// im2col/conv/pool forward & backward gradient checks.
+// im2col/conv/pool forward & backward gradient checks, and bit-exactness of
+// the fused-panel conv against per-sample GEMMs.
 #include "tensor/ops.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 #include <vector>
 
+#include "tensor/backend/backend.h"
 #include "util/rng.h"
 
 namespace bdlfi::tensor {
@@ -224,6 +228,78 @@ TEST(Conv2d, OneByOneKernel) {
   EXPECT_LT(Tensor::max_abs_diff(conv2d_forward(input, weight, {}, spec),
                                  naive_conv2d(input, weight, {}, spec)),
             1e-3f);
+}
+
+// The per-sample arithmetic conv2d_forward ran before it fused samples into
+// wide panels: one im2col and one gemm_rows per sample, then the per-plane
+// bias. Written out here so the panel path is compared against it, not
+// against itself.
+Tensor per_sample_conv2d(const Tensor& input, const Tensor& weight,
+                         const Tensor& bias, const Conv2dSpec& spec) {
+  const std::int64_t n = input.shape()[0], c = input.shape()[1],
+                     h = input.shape()[2], w = input.shape()[3];
+  const std::int64_t o = weight.shape()[0];
+  const std::int64_t ohow = spec.out_h(h) * spec.out_w(w);
+  const std::int64_t patch = c * spec.kernel_h * spec.kernel_w;
+  const backend::KernelBackend& be = backend::active();
+  Tensor out{Shape{n, o, spec.out_h(h), spec.out_w(w)}};
+  std::vector<float> cols(static_cast<std::size_t>(patch * ohow));
+  for (std::int64_t s = 0; s < n; ++s) {
+    im2col(input.data() + s * c * h * w, c, h, w, spec, cols.data());
+    float* dst = out.data() + s * o * ohow;
+    be.gemm_rows(false, false, 0, o, ohow, patch, 1.0f, weight.data(), patch,
+                 cols.data(), ohow, 0.0f, dst, ohow);
+    if (!bias.empty()) {
+      for (std::int64_t oc = 0; oc < o; ++oc) {
+        be.add_const(dst + oc * ohow, bias[oc], ohow);
+      }
+    }
+  }
+  return out;
+}
+
+TEST(Conv2d, PanelPathBitIdenticalToPerSampleGemms) {
+  struct Case {
+    std::int64_t c, o, hw, kernel, stride, pad;
+  };
+  // OH*OW = 1, 4, 16, 256 at 3x3/stride 1/pad 1, plus stride 2 with and
+  // without padding (16 and 4 columns).
+  const Case cases[] = {{8, 16, 1, 3, 1, 1},  {16, 5, 2, 3, 1, 1},
+                        {3, 8, 4, 3, 1, 1},   {4, 6, 16, 3, 1, 1},
+                        {6, 12, 8, 3, 2, 1},  {8, 16, 4, 1, 2, 0}};
+  const std::string restore = backend::active_name();
+  for (const std::string& name : backend::available()) {
+    ASSERT_TRUE(backend::set_active(name));
+    util::Rng rng{12};
+    for (const Case& k : cases) {
+      for (const std::int64_t n : {1, 7, 64}) {
+        for (const bool with_bias : {false, true}) {
+          SCOPED_TRACE(name + " c=" + std::to_string(k.c) +
+                       " hw=" + std::to_string(k.hw) +
+                       " stride=" + std::to_string(k.stride) +
+                       " n=" + std::to_string(n) +
+                       " bias=" + std::to_string(with_bias));
+          Conv2dSpec spec;
+          spec.kernel_h = spec.kernel_w = k.kernel;
+          spec.stride = k.stride;
+          spec.set_pad(k.pad);
+          const Tensor input = Tensor::randn(Shape{n, k.c, k.hw, k.hw}, rng);
+          const Tensor weight =
+              Tensor::randn(Shape{k.o, k.c, k.kernel, k.kernel}, rng);
+          const Tensor bias =
+              with_bias ? Tensor::randn(Shape{k.o}, rng) : Tensor{};
+          const Tensor got = conv2d_forward(input, weight, bias, spec);
+          const Tensor want = per_sample_conv2d(input, weight, bias, spec);
+          ASSERT_EQ(got.shape(), want.shape());
+          EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                static_cast<std::size_t>(got.numel()) *
+                                    sizeof(float)),
+                    0);
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(backend::set_active(restore));
 }
 
 TEST(Conv2d, BackwardNumericalGradientCheck) {
