@@ -171,15 +171,9 @@ inline std::string require_backend(const tensor::backend::Resolution& r) {
   return r.name;
 }
 
-/// Deprecated: thin wrapper kept for older benches; prefer
-/// tensor::backend::resolve() + require_backend().
-inline std::string resolve_backend_flag(const Flags& flags) {
-  return require_backend(tensor::backend::resolve(flags.get("backend", "")));
-}
-
 /// One-stop campaign flag wiring, hoisted from the near-identical blocks the
 /// fig benches and bdlfi_cli used to copy-paste:
-///   --backend=scalar|avx2|auto   kernel backend (via resolve_backend_flag)
+///   --backend=scalar|avx2|auto   kernel backend (via require_backend)
 ///   --round-timeout-ms / --max-chain-retries / --retry-backoff-ms /
 ///   --min-acceptance / --max-evals-per-round   chain supervision
 ///   --checkpoint-dir=<dir> / --resume          crash-safe campaigns (arms

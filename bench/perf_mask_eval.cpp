@@ -3,13 +3,8 @@
 // with the golden-activation cache enabled vs. disabled, and the speedup is
 // reported per layer plus aggregated over the last third of the network —
 // where truncation replays the fewest layers and the win is largest
-// (speedup ~ depth / layers-remaining).
-//
-// A second race measures batched multi-mask evaluation (DESIGN.md §10): the
-// same mask set rides through BayesianFaultNetwork::evaluate_masks, which
-// fuses K fault variants into one widened forward, against the sequential
-// evaluate_mask loop — per layer, plus a mask-batch (K) sweep. On an AVX2
-// host the non-smoke run enforces the >=4x overall batched speedup target.
+// (speedup ~ depth / layers-remaining). A second race times full evals with
+// eval-mode fusion (--fuse) against the unfused default.
 //
 // Training is deliberately skipped: evaluation throughput is independent of
 // the weight values, and an untrained network keeps the bench about the
@@ -40,10 +35,6 @@ struct LayerTiming {
   double truncated_throughput = 0.0;  // evals / s
   double speedup = 0.0;
   double layers_saved_pct = 0.0;
-  // Batched race: seconds per mask-batch size K, same eval count as the
-  // sequential (truncated) loop above.
-  std::vector<std::size_t> batch_ks;
-  std::vector<double> batched_seconds;
 };
 
 }  // namespace
@@ -51,9 +42,9 @@ struct LayerTiming {
 int main(int argc, char** argv) {
   bench::Flags flags(argc, argv);
   const bool smoke = flags.get("smoke", std::int64_t{0}) != 0;
-  // The batched-vs-sequential race is a SIMD story: default to the best
-  // backend this host supports. An explicit --backend or BDLFI_BACKEND
-  // still wins (the CI sanitize script pins the backend per pass).
+  // Eval throughput is a SIMD story: default to the best backend this host
+  // supports. An explicit --backend or BDLFI_BACKEND still wins (the CI
+  // sanitize script pins the backend per pass).
   tensor::backend::Resolution res =
       tensor::backend::resolve(flags.get("backend", ""));
   if (std::string(res.source) == "default") {
@@ -148,20 +139,6 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Batched multi-mask race against the sequential truncated loop above:
-    // same masks, same replay cache, K variants fused per widened forward.
-    const std::vector<std::size_t> batch_ks =
-        smoke ? std::vector<std::size_t>{2} : std::vector<std::size_t>{2, 8, 24};
-    std::vector<double> batched_s(batch_ks.size(), 0.0);
-    truncated.evaluate_masks(batch, batch_ks.front());  // warm the fused path
-    for (std::size_t ki = 0; ki < batch_ks.size(); ++ki) {
-      util::Stopwatch batched_timer;
-      for (std::size_t r = 0; r < reps; ++r) {
-        truncated.evaluate_masks(batch, batch_ks[ki]);
-      }
-      batched_s[ki] += batched_timer.seconds();
-    }
-
     LayerTiming t;
     t.layer_index = i;
     t.layer_name = net.layer_name(i);
@@ -174,8 +151,6 @@ int main(int argc, char** argv) {
         static_cast<double>(t.evals) / std::max(truncated_s, 1e-9);
     t.speedup = full_s / std::max(truncated_s, 1e-9);
     t.layers_saved_pct = truncated.eval_stats().layers_saved_pct();
-    t.batch_ks = batch_ks;
-    t.batched_seconds = batched_s;
     timings.push_back(t);
   }
 
@@ -197,38 +172,12 @@ int main(int argc, char** argv) {
               "===\n\n");
   bench::emit(table, "perf_mask_eval");
 
-  // Batched race table: sequential truncated loop vs evaluate_masks at the
-  // default mask batch (8 non-smoke; the only swept K in smoke).
-  const std::vector<std::size_t>& ks = timings.front().batch_ks;
-  std::size_t default_ki = 0;
-  for (std::size_t ki = 0; ki < ks.size(); ++ki) {
-    if (ks[ki] == 8) default_ki = ki;
-  }
-  util::Table mm_table({"layer_idx", "name", "seq_masks_per_s",
-                        "batched_masks_per_s", "speedup"});
-  for (const auto& t : timings) {
-    const double bs = t.batched_seconds[default_ki];
-    mm_table.row()
-        .col(t.layer_index)
-        .col(t.layer_name)
-        .col(static_cast<double>(t.evals) / std::max(t.truncated_seconds, 1e-9))
-        .col(static_cast<double>(t.evals) / std::max(bs, 1e-9))
-        .col(t.truncated_seconds / std::max(bs, 1e-9));
-  }
-  std::printf("=== perf: batched (K=%zu) vs sequential mask evaluation "
-              "===\n\n", ks[default_ki]);
-  bench::emit(mm_table, "perf_mask_eval_batched");
-
   // Aggregate speedups as total-time ratios (robust to per-layer noise).
   double full_all = 0.0, trunc_all = 0.0, full_last = 0.0, trunc_last = 0.0;
-  std::vector<double> batched_all(ks.size(), 0.0);
   const std::size_t last_third_begin = depth - depth / 3;
   for (const auto& t : timings) {
     full_all += t.full_seconds;
     trunc_all += t.truncated_seconds;
-    for (std::size_t ki = 0; ki < ks.size(); ++ki) {
-      batched_all[ki] += t.batched_seconds[ki];
-    }
     if (t.layer_index >= last_third_begin) {
       full_last += t.full_seconds;
       trunc_last += t.truncated_seconds;
@@ -236,10 +185,8 @@ int main(int argc, char** argv) {
   }
   const double overall = full_all / std::max(trunc_all, 1e-9);
   const double last_third = full_last / std::max(trunc_last, 1e-9);
-  // The 3x truncated-replay target is calibrated for the scalar backend. On
-  // AVX2 the late layers' narrow GEMM panels leave the SIMD lanes starved, so
-  // replaying them is relatively costlier and the sequential win shrinks —
-  // which is precisely what the batched gate below measures the fix for.
+  // The 3x truncated-replay target is calibrated for the scalar backend;
+  // other backends report the ratio only.
   const bool gate_seq = !smoke && backend == "scalar";
   std::printf("overall speedup (all layers): %.2fx\n", overall);
   std::printf("last-third speedup (layers >= %zu): %.2fx%s\n",
@@ -247,23 +194,6 @@ int main(int argc, char** argv) {
               gate_seq ? (last_third >= 3.0 ? "  [target >= 3x: PASS]"
                                             : "  [target >= 3x: FAIL]")
                        : "  [target checked on scalar backend only]");
-  for (std::size_t ki = 0; ki < ks.size(); ++ki) {
-    std::printf("batched speedup vs sequential (K=%zu): %.2fx\n", ks[ki],
-                trunc_all / std::max(batched_all[ki], 1e-9));
-  }
-  // The >=4x batched target assumes the SIMD backend: the fused panels exist
-  // to feed wide FMA lanes, so a scalar-only host only reports the ratio.
-  const bool gate_batched = !smoke && backend == "avx2";
-  const double batched_overall =
-      trunc_all / std::max(batched_all[default_ki], 1e-9);
-  if (gate_batched) {
-    std::printf("batched target (K=%zu, avx2): %.2fx  [target >= 4x: %s]\n",
-                ks[default_ki], batched_overall,
-                batched_overall >= 4.0 ? "PASS" : "FAIL");
-  } else if (!smoke) {
-    std::printf("batched target: not enforced on backend '%s'\n",
-                backend.c_str());
-  }
 
   // Fused eval race: the same masks evaluated sequentially with eval-mode
   // conv+BN+ReLU fusion off (the bit-exact default) vs on (--fuse). Both
@@ -346,35 +276,6 @@ int main(int argc, char** argv) {
     json.end_object();
   }
   json.end_array();
-  json.key("multi_mask").begin_object();
-  json.field("mask_batch_default", ks[default_ki]);
-  json.key("groups").begin_array();
-  for (const auto& t : timings) {
-    json.begin_object();
-    json.field("layer_index", t.layer_index);
-    json.field("name", t.layer_name);
-    json.field("seq_s", t.truncated_seconds);
-    json.field("batched_s", t.batched_seconds[default_ki]);
-    json.field("speedup",
-               t.truncated_seconds /
-                   std::max(t.batched_seconds[default_ki], 1e-9));
-    json.end_object();
-  }
-  json.end_array();
-  json.key("k_sweep").begin_array();
-  for (std::size_t ki = 0; ki < ks.size(); ++ki) {
-    json.begin_object();
-    json.field("k", ks[ki]);
-    json.field("batched_s", batched_all[ki]);
-    json.field("speedup", trunc_all / std::max(batched_all[ki], 1e-9));
-    json.end_object();
-  }
-  json.end_array();
-  json.key("summary").begin_object();
-  json.field("overall_speedup", batched_overall);
-  json.field("gate_enforced", gate_batched);
-  json.end_object();
-  json.end_object();
   json.key("fusion").begin_object();
   json.field("masks_per_rep", masks);
   json.field("reps", reps);
@@ -391,9 +292,7 @@ int main(int argc, char** argv) {
   if (!bench::emit_bench_json(json, "mask_eval")) return 1;
   std::printf("[perf_mask_eval done in %.1fs]\n", total.seconds());
   // The smoke run only checks that the pipeline works end to end; the real
-  // run enforces the acceptance targets (truncated-replay and, on the SIMD
-  // backend, the batched multi-mask race).
+  // run enforces the truncated-replay target on the scalar backend.
   if (gate_seq && last_third < 3.0) return 1;
-  if (gate_batched && batched_overall < 4.0) return 1;
   return 0;
 }

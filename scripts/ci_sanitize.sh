@@ -51,18 +51,19 @@ for backend in scalar avx2; do
     --output-on-failure -R 'abft|tab_protection_smoke|perf_abft_smoke'
 done
 
-# Targeted batched multi-mask pass: the fused-panel evaluation (per-variant
-# pointer tables into widened activation tensors, shared-im2col scatter,
-# in-place panel divergence) is the newest pointer-arithmetic-heavy path, so
-# the parity/equivalence suite and the batched bench smoke get an explicit
+# Targeted eval-path pass: every mask evaluation runs on an ExecutionPlan
+# compiled from whichever layer the eval enters at, so plan offsets are
+# relative to that entry layer — offset arithmetic over one flat arena. The
+# plan suite, the truncated-replay parity suite, the MCMC chains (replicas
+# compiling their own plans) and the mask-eval bench smoke get an explicit
 # sanitized run per backend.
 for backend in scalar avx2; do
   if [ "$backend" = avx2 ] && ! grep -q avx2 /proc/cpuinfo 2>/dev/null; then
     continue
   fi
-  echo "=== batched multi-mask suite under BDLFI_BACKEND=$backend ==="
+  echo "=== eval-path suite under BDLFI_BACKEND=$backend ==="
   BDLFI_BACKEND="$backend" ctest --test-dir "$BUILD_DIR" \
-    --output-on-failure -R 'MultiMask|perf_mask_eval'
+    --output-on-failure -R 'PlanTest|Replay|McmcTest|perf_mask_eval'
 done
 
 # Targeted planned-execution / fusion pass: the execution plan's arena is a
@@ -118,13 +119,14 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure \
 # and the conv panels share per-thread scratch across nested calls: races
 # there are invisible to ASan. TSan cannot share a build with ASan, so it
 # gets its own, instrumented through CMAKE_CXX_FLAGS (compile and link) and
-# limited to the suites that drive the pool from several threads.
+# limited to the suites that drive the pool from several threads; the MCMC
+# suite runs chain replicas, each with its own plans, concurrently on it.
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "$TSAN_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread"
 cmake --build "$TSAN_DIR" -j "$(nproc)" \
-  --target util_thread_pool_test multi_mask_test plan_test replay_test
+  --target util_thread_pool_test plan_test replay_test mcmc_test
 export TSAN_OPTIONS="halt_on_error=1"
 for backend in scalar avx2; do
   if [ "$backend" = avx2 ] && ! grep -q avx2 /proc/cpuinfo 2>/dev/null; then
@@ -132,5 +134,5 @@ for backend in scalar avx2; do
   fi
   echo "=== thread pool / nested parallel_for suite (TSan) under BDLFI_BACKEND=$backend ==="
   BDLFI_BACKEND="$backend" ctest --test-dir "$TSAN_DIR" --output-on-failure \
-    -R 'ThreadPool|ParallelFor|MultiMask|PlanTest|Replay'
+    -R 'ThreadPool|ParallelFor|PlanTest|Replay|McmcTest'
 done

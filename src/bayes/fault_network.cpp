@@ -5,8 +5,7 @@
 #include <map>
 #include <utility>
 
-#include "bayes/mask_split.h"
-#include "bayes/multi_mask.h"
+#include "fault/bits.h"
 #include "nn/range_guard.h"
 #include "obs/metrics.h"
 #include "tensor/backend/backend.h"
@@ -44,13 +43,54 @@ struct EvalMetrics {
   }
 };
 
-}  // namespace
+/// A mask sorted into the site kinds the evaluation pipeline treats
+/// differently: persistent parameter bits (XOR-able in place), input bits
+/// (applied to a copy of the eval batch), and per-layer activation bits
+/// (applied in flight via the forward hook). Offsets are element indices
+/// *within* the owning tensor.
+struct SplitMask {
+  std::vector<std::int64_t> param_bits;  // flat space addressing
+  std::vector<std::pair<std::int64_t, int>> input_flips;
+  std::map<std::int64_t, std::vector<std::pair<std::int64_t, int>>> act_flips;
+  /// Per-layer mid-kernel flips, installed on the network for the forward.
+  /// Per-layer lists are sorted by element (mask bits are sorted and each
+  /// layer's compute range is one contiguous entry), as gemm_checked needs.
+  nn::ComputeFaultPlan compute_flips;
+};
 
-// SplitMask / split_mask / flip_into moved to bayes/mask_split.h so the
-// batched evaluator (multi_mask.cpp) decomposes masks identically.
-using detail::flip_into;
-using detail::split_mask;
-using detail::SplitMask;
+SplitMask split_mask(const InjectionSpace& space, const FaultMask& mask) {
+  SplitMask split;
+  for (std::int64_t flat : mask.bits()) {
+    const fault::FaultSite site = fault::FaultSite::from_flat(flat);
+    const InjectionSpace::Entry& entry = space.entry_of(site.element);
+    const std::int64_t elem = site.element - entry.offset;
+    switch (entry.site) {
+      case InjectionSpace::SiteKind::kParam:
+        split.param_bits.push_back(flat);
+        break;
+      case InjectionSpace::SiteKind::kInput:
+        split.input_flips.emplace_back(elem, site.bit);
+        break;
+      case InjectionSpace::SiteKind::kActivation:
+        split.act_flips[entry.layer].emplace_back(elem, site.bit);
+        break;
+      case InjectionSpace::SiteKind::kCompute:
+        split.compute_flips[static_cast<std::size_t>(entry.layer)]
+            .emplace_back(elem, site.bit);
+        break;
+    }
+  }
+  return split;
+}
+
+void flip_into(tensor::Tensor& t,
+               const std::vector<std::pair<std::int64_t, int>>& flips) {
+  for (const auto& [elem, bit] : flips) {
+    t[elem] = fault::flip_bit(t[elem], bit);
+  }
+}
+
+}  // namespace
 
 BayesianFaultNetwork::BayesianFaultNetwork(
     const nn::Network& golden, const TargetSpec& target, AvfProfile profile,
@@ -121,20 +161,13 @@ std::unique_ptr<BayesianFaultNetwork> BayesianFaultNetwork::replicate() const {
       new BayesianFaultNetwork(*this, ReplicaTag{}));
 }
 
-BayesianFaultNetwork::~BayesianFaultNetwork() = default;
-
 EvalOutcome BayesianFaultNetwork::evaluate(const EvalRequest& request) {
-  // The engine is persistent so its widened panels and weight-copy pools
-  // survive across calls — steady-state campaigns stop allocating.
-  if (multi_mask_ == nullptr) {
-    multi_mask_ = std::make_unique<MultiMaskEvaluator>(*this);
+  EvalOutcome result;
+  result.outcomes.reserve(request.masks.size());
+  for (const FaultMask& mask : request.masks) {
+    result.outcomes.push_back(evaluate_mask(mask));
   }
-  return multi_mask_->evaluate(request.masks, request.mask_batch);
-}
-
-std::vector<MaskOutcome> BayesianFaultNetwork::evaluate_masks(
-    std::span<const FaultMask> masks, std::size_t mask_batch) {
-  return evaluate({masks, mask_batch}).outcomes;
+  return result;
 }
 
 tensor::Tensor BayesianFaultNetwork::logits_under_mask(const FaultMask& mask) {

@@ -30,8 +30,6 @@
 
 namespace bdlfi::bayes {
 
-class MultiMaskEvaluator;
-
 using fault::AvfProfile;
 using fault::FaultMask;
 using fault::InjectionSpace;
@@ -108,26 +106,20 @@ struct EvalStats {
   }
 };
 
-/// One consolidated mask-evaluation request. Every evaluation entry point —
-/// single mask, batched multi-mask, per-mask sequential fallback — is a
-/// special case of this: the engine groups `masks` by first-affected layer,
-/// rides up to `mask_batch` variants through one widened forward per replay
-/// group (DESIGN.md §10), and transparently routes masks the batched path
-/// cannot carry soundly (compute-fault sites, ABFT checking, range guards,
-/// exotic layers) through sequential evaluation. mask_batch <= 1 forces the
-/// sequential path for every mask.
+/// A list of masks to evaluate, each one exactly as evaluate_mask would
+/// (DESIGN.md §10).
 struct EvalRequest {
   std::span<const FaultMask> masks;
+  /// Ignored: every mask runs through evaluate_mask. Kept so existing
+  /// `EvalRequest{masks, k}` callers still compile.
   std::size_t mask_batch = 8;
 };
 
-/// Result of one EvalRequest. `outcomes` is in input order and bit-identical
-/// to evaluating each mask alone; the counters report which engine served
-/// each mask (telemetry — they never affect results).
+/// Result of one EvalRequest: `outcomes` in input order.
 struct EvalOutcome {
   std::vector<MaskOutcome> outcomes;
-  std::size_t batched = 0;     // masks served by the widened multi-mask path
-  std::size_t sequential = 0;  // masks served by per-mask evaluation
+  /// Always 0; kept for callers that still read it.
+  std::size_t batched = 0;
 };
 
 class BayesianFaultNetwork {
@@ -138,7 +130,6 @@ class BayesianFaultNetwork {
                        AvfProfile profile, tensor::Tensor eval_inputs,
                        std::vector<std::int64_t> eval_labels,
                        EvalCacheConfig cache_config = {});
-  ~BayesianFaultNetwork();
 
   BayesianFaultNetwork(const BayesianFaultNetwork&) = delete;
   BayesianFaultNetwork& operator=(const BayesianFaultNetwork&) = delete;
@@ -168,21 +159,13 @@ class BayesianFaultNetwork {
     return golden_preds_;
   }
 
-  /// THE evaluation entry point: applies each requested mask, measures,
-  /// reverts. The weights are bit-exact golden before and after this call,
-  /// and outcomes are bit-identical regardless of which engine (batched
-  /// widened forward or per-mask sequential) served each mask. The batched
-  /// engine is persistent — its widened activation panels are pooled across
-  /// calls, so steady-state campaigns stop allocating.
+  /// Evaluates each requested mask in order with evaluate_mask. The weights
+  /// are bit-exact golden before and after this call.
   EvalOutcome evaluate(const EvalRequest& request);
 
-  /// Single-mask shorthand, equivalent to an EvalRequest of one mask with
-  /// mask_batch = 1 (allocation-free: no outcome vector is built).
+  /// Applies one mask, measures, reverts. Allocation-free in steady state:
+  /// the forward runs on the network's ExecutionPlan (DESIGN.md §13).
   MaskOutcome evaluate_mask(const FaultMask& mask);
-
-  /// Deprecated: thin wrapper over evaluate(); prefer the EvalRequest form.
-  std::vector<MaskOutcome> evaluate_masks(std::span<const FaultMask> masks,
-                                          std::size_t mask_batch = 8);
 
   /// Output logits of the network corrupted by `mask` over the eval batch —
   /// bit-identical between the truncated and full evaluation paths. State is
@@ -220,8 +203,6 @@ class BayesianFaultNetwork {
   std::size_t cached_layers() const { return cache_.cached_layers(); }
 
  private:
-  friend class MultiMaskEvaluator;
-
   struct ReplicaTag {};
   /// Replication path: clones the network and copies all derived golden
   /// state (predictions, error, activation cache) without a forward pass.
@@ -250,9 +231,6 @@ class BayesianFaultNetwork {
   // Reusable staging tensor for masks that corrupt the replay-start
   // activation or the input batch; its storage amortizes across evaluations.
   tensor::Tensor start_scratch_;
-  // Persistent batched engine behind evaluate(): lazily created, reused
-  // across calls so its widened panels and weight-copy pools amortize.
-  std::unique_ptr<MultiMaskEvaluator> multi_mask_;
 };
 
 }  // namespace bdlfi::bayes

@@ -63,6 +63,9 @@ struct CampaignSpec {
   std::size_t samples_per_chain = 100;
   std::size_t burn_in = 30;
   std::size_t thin = 5;
+  /// Ignored by the worker (every mask is evaluated on its own); still
+  /// parsed and part of canonical(), so existing specs and campaign ids
+  /// stay valid.
   std::size_t mask_batch = 8;
   std::uint64_t seed = 1;
 

@@ -217,10 +217,8 @@ int run_worker(const CampaignSpec& spec, const WorkerPaths& paths,
   runner.mh.samples = spec.samples_per_chain;
   runner.mh.burn_in = spec.burn_in;
   runner.mh.thin = spec.thin;
-  runner.mh.mask_batch = spec.mask_batch;
   runner.gibbs.samples = spec.samples_per_chain;
   runner.gibbs.burn_in = spec.burn_in;
-  runner.gibbs.mask_batch = spec.mask_batch;
   runner.seed = spec.seed;
   runner.supervisor.round_timeout_ms = spec.round_timeout_ms;
   runner.supervisor.max_retries = spec.max_chain_retries;

@@ -41,30 +41,18 @@ ImportanceFiResult run_importance_fi(const bayes::BayesianFaultNetwork& golden,
   std::vector<double> log_weights, errors, deviations;
   log_weights.reserve(config.injections);
   std::size_t hits = 0;
-  // Sample (and weight) a chunk of masks ahead, then evaluate them in one
-  // batched multi-mask pass; evaluation never touches the RNG, so the draws
-  // — and therefore the weights and outcomes — match the one-at-a-time loop.
-  const std::size_t chunk = std::max<std::size_t>(1, config.mask_batch);
-  std::vector<fault::FaultMask> masks;
-  masks.reserve(chunk);
-  for (std::size_t i = 0; i < config.injections; i += chunk) {
-    const std::size_t end = std::min(config.injections, i + chunk);
-    masks.clear();
-    for (std::size_t j = i; j < end; ++j) {
-      masks.push_back(replica->sample_prior_mask(q_rate, rng));
-      double lw = 0.0;
-      for (std::int64_t flat : masks.back().bits()) {
-        lw += flip_log_weight[static_cast<std::size_t>(flat %
-                                                       fault::kBitsPerWord)];
-      }
-      log_weights.push_back(lw);
+  for (std::size_t i = 0; i < config.injections; ++i) {
+    const fault::FaultMask mask = replica->sample_prior_mask(q_rate, rng);
+    double lw = 0.0;
+    for (std::int64_t flat : mask.bits()) {
+      lw += flip_log_weight[static_cast<std::size_t>(flat %
+                                                     fault::kBitsPerWord)];
     }
-    const bayes::EvalOutcome batch = replica->evaluate({masks, chunk});
-    for (const bayes::MaskOutcome& outcome : batch.outcomes) {
-      errors.push_back(outcome.classification_error);
-      deviations.push_back(outcome.deviation);
-      if (outcome.deviation > 0.0) ++hits;
-    }
+    log_weights.push_back(lw);
+    const bayes::MaskOutcome outcome = replica->evaluate_mask(mask);
+    errors.push_back(outcome.classification_error);
+    deviations.push_back(outcome.deviation);
+    if (outcome.deviation > 0.0) ++hits;
   }
 
   // Self-normalized estimate with max-shifted exponentials for stability.

@@ -28,10 +28,6 @@ struct ImportanceFiConfig {
   double beta = 10.0;
   std::size_t injections = 500;
   std::uint64_t seed = 1;
-  /// Masks are sampled (and weighted) this many ahead, then evaluated in one
-  /// batched multi-mask pass — bit-identical to one-at-a-time evaluation
-  /// (evaluation never touches the RNG). 1 disables batching.
-  std::size_t mask_batch = 8;
 };
 
 struct ImportanceFiResult {

@@ -35,42 +35,28 @@ RandomFiResult run_random_fi(const bayes::BayesianFaultNetwork& golden,
         auto replica = golden.replicate();
         auto local_sampler = sampler.clone();
         util::Rng rng{seeds[worker]};
-        // Sample a chunk of masks ahead, then evaluate them in one batched
-        // multi-mask pass. Sampling never reads the evaluation results, so
-        // hoisting the draws above the forwards leaves the RNG stream — and
-        // therefore every mask and outcome — identical to the one-at-a-time
-        // loop.
-        const std::size_t chunk = std::max<std::size_t>(1, config.mask_batch);
-        std::vector<fault::FaultMask> masks;
-        masks.reserve(chunk);
-        for (std::size_t i = lo; i < hi; i += chunk) {
-          const std::size_t end = std::min(hi, i + chunk);
-          masks.clear();
-          for (std::size_t j = i; j < end; ++j) {
-            masks.push_back(local_sampler->sample(replica->space(), rng));
-          }
-          const bayes::EvalOutcome batch = replica->evaluate({masks, chunk});
-          for (const bayes::MaskOutcome& outcome : batch.outcomes) {
-            out[worker].errors.push_back(outcome.classification_error);
-            out[worker].deviations.push_back(outcome.deviation);
-            out[worker].flips.push_back(
-                static_cast<double>(outcome.flipped_bits));
-            out[worker].detected.push_back(outcome.detected);
-            out[worker].sdc.push_back(outcome.sdc);
-            switch (outcome.outcome) {
-              case bayes::FaultOutcome::kMasked:
-                ++out[worker].outcome_masked;
-                break;
-              case bayes::FaultOutcome::kSdc:
-                ++out[worker].outcome_sdc;
-                break;
-              case bayes::FaultOutcome::kDetected:
-                ++out[worker].outcome_detected;
-                break;
-              case bayes::FaultOutcome::kCorrected:
-                ++out[worker].outcome_corrected;
-                break;
-            }
+        for (std::size_t i = lo; i < hi; ++i) {
+          const bayes::MaskOutcome outcome = replica->evaluate_mask(
+              local_sampler->sample(replica->space(), rng));
+          out[worker].errors.push_back(outcome.classification_error);
+          out[worker].deviations.push_back(outcome.deviation);
+          out[worker].flips.push_back(
+              static_cast<double>(outcome.flipped_bits));
+          out[worker].detected.push_back(outcome.detected);
+          out[worker].sdc.push_back(outcome.sdc);
+          switch (outcome.outcome) {
+            case bayes::FaultOutcome::kMasked:
+              ++out[worker].outcome_masked;
+              break;
+            case bayes::FaultOutcome::kSdc:
+              ++out[worker].outcome_sdc;
+              break;
+            case bayes::FaultOutcome::kDetected:
+              ++out[worker].outcome_detected;
+              break;
+            case bayes::FaultOutcome::kCorrected:
+              ++out[worker].outcome_corrected;
+              break;
           }
         }
       });

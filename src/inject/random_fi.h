@@ -21,12 +21,6 @@ struct RandomFiConfig {
   std::uint64_t seed = 1;
   /// Parallel workers (0 = one replica per hardware thread).
   std::size_t workers = 0;
-  /// Each worker samples up to this many masks ahead, then evaluates them in
-  /// one batched multi-mask pass (BayesianFaultNetwork::evaluate_masks).
-  /// Bit-identical to one-at-a-time evaluation: sampling never reads the
-  /// evaluation results, so reordering sample/evaluate leaves the RNG stream
-  /// and every outcome unchanged. 1 disables batching.
-  std::size_t mask_batch = 8;
 };
 
 struct RandomFiResult {

@@ -1,6 +1,5 @@
 #include "mcmc/gibbs.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "obs/metrics.h"
@@ -87,28 +86,18 @@ ChainResult GibbsSampler::run() {
   }
 
   ChainResult result;
-  // Deferred retained-sample evals, flushed through the batched multi-mask
-  // path in retained order; bit-identical to inline evaluation (the outcome
-  // never feeds back into the sweep — see MhConfig::mask_batch).
-  const std::size_t mask_batch = std::max<std::size_t>(1, config_.mask_batch);
-  std::vector<FaultMask> pending;
-  pending.reserve(std::min(mask_batch, config_.samples));
-  const auto flush = [&]() {
-    if (pending.empty()) return;
-    const bayes::EvalOutcome batch = net_.evaluate({pending, mask_batch});
-    network_evals_ += pending.size();
-    for (const bayes::MaskOutcome& outcome : batch.outcomes) {
-      result.error_samples.push_back(outcome.classification_error);
-      result.deviation_samples.push_back(outcome.deviation);
-      result.flips_samples.push_back(static_cast<double>(outcome.flipped_bits));
-      switch (outcome.outcome) {
-        case bayes::FaultOutcome::kMasked: ++result.outcome_masked; break;
-        case bayes::FaultOutcome::kSdc: ++result.outcome_sdc; break;
-        case bayes::FaultOutcome::kDetected: ++result.outcome_detected; break;
-        case bayes::FaultOutcome::kCorrected: ++result.outcome_corrected; break;
-      }
+  const auto record = [&](const FaultMask& mask) {
+    const bayes::MaskOutcome outcome = net_.evaluate_mask(mask);
+    ++network_evals_;
+    result.error_samples.push_back(outcome.classification_error);
+    result.deviation_samples.push_back(outcome.deviation);
+    result.flips_samples.push_back(static_cast<double>(outcome.flipped_bits));
+    switch (outcome.outcome) {
+      case bayes::FaultOutcome::kMasked: ++result.outcome_masked; break;
+      case bayes::FaultOutcome::kSdc: ++result.outcome_sdc; break;
+      case bayes::FaultOutcome::kDetected: ++result.outcome_detected; break;
+      case bayes::FaultOutcome::kCorrected: ++result.outcome_corrected; break;
     }
-    pending.clear();
   };
   if (!config_.resume) {
     for (std::size_t i = 0; !timed_out_ && i < config_.burn_in; ++i) {
@@ -122,11 +111,9 @@ ChainResult GibbsSampler::run() {
     }
     sweep(current, current_logd, rng);
     if (timed_out_) break;
-    pending.push_back(current);
+    record(current);
     if (config_.record_masks) result.mask_samples.push_back(current);
-    if (pending.size() >= mask_batch) flush();
   }
-  flush();  // drain the tail (normal end, timeout, or interrupt)
   result.acceptance_rate = 1.0;  // Gibbs always moves per-coordinate
   result.network_evals = network_evals_;
   result.timed_out = timed_out_;

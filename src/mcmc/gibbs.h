@@ -18,9 +18,6 @@ struct GibbsConfig {
   std::size_t burn_in = 10;
   /// Bit coordinates resampled per sweep.
   std::size_t coordinates_per_sweep = 64;
-  /// Retained-sample evals flushed through the batched multi-mask path; same
-  /// semantics (and bit-exactness argument) as MhConfig::mask_batch.
-  std::size_t mask_batch = 8;
   std::uint64_t seed = 1;
   /// Same semantics as the MhConfig fields of the same names.
   double round_timeout_ms = 0.0;

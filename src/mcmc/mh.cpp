@@ -1,6 +1,5 @@
 #include "mcmc/mh.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "obs/metrics.h"
@@ -130,28 +129,18 @@ ChainResult MhSampler::run() {
   result.deviation_samples.reserve(config_.samples);
   result.flips_samples.reserve(config_.samples);
 
-  // Retained-sample evaluations are accumulated and flushed through the
-  // batched multi-mask path; outcomes land in the result vectors in retained
-  // order, bit-identical to inline evaluation (see MhConfig::mask_batch).
-  const std::size_t mask_batch = std::max<std::size_t>(1, config_.mask_batch);
-  std::vector<FaultMask> pending;
-  pending.reserve(std::min(mask_batch, config_.samples));
-  const auto flush = [&]() {
-    if (pending.empty()) return;
-    const bayes::EvalOutcome batch = net_.evaluate({pending, mask_batch});
-    network_evals_ += pending.size();
-    for (const bayes::MaskOutcome& outcome : batch.outcomes) {
-      result.error_samples.push_back(outcome.classification_error);
-      result.deviation_samples.push_back(outcome.deviation);
-      result.flips_samples.push_back(static_cast<double>(outcome.flipped_bits));
-      switch (outcome.outcome) {
-        case bayes::FaultOutcome::kMasked: ++result.outcome_masked; break;
-        case bayes::FaultOutcome::kSdc: ++result.outcome_sdc; break;
-        case bayes::FaultOutcome::kDetected: ++result.outcome_detected; break;
-        case bayes::FaultOutcome::kCorrected: ++result.outcome_corrected; break;
-      }
+  const auto record = [&](const FaultMask& mask) {
+    const bayes::MaskOutcome outcome = net_.evaluate_mask(mask);
+    ++network_evals_;
+    result.error_samples.push_back(outcome.classification_error);
+    result.deviation_samples.push_back(outcome.deviation);
+    result.flips_samples.push_back(static_cast<double>(outcome.flipped_bits));
+    switch (outcome.outcome) {
+      case bayes::FaultOutcome::kMasked: ++result.outcome_masked; break;
+      case bayes::FaultOutcome::kSdc: ++result.outcome_sdc; break;
+      case bayes::FaultOutcome::kDetected: ++result.outcome_detected; break;
+      case bayes::FaultOutcome::kCorrected: ++result.outcome_corrected; break;
     }
-    pending.clear();
   };
 
   // Clock reads only happen when the watchdog is armed, so the default
@@ -183,11 +172,9 @@ ChainResult MhSampler::run() {
       }
     }
     if (aborted) break;
-    pending.push_back(current);
+    record(current);
     if (config_.record_masks) result.mask_samples.push_back(current);
-    if (pending.size() >= mask_batch) flush();
   }
-  flush();  // drain the tail (normal end, timeout, or interrupt)
   if (obs::enabled()) {
     MhMetrics& m = MhMetrics::get();
     m.samples.add(result.error_samples.size());

@@ -23,13 +23,8 @@ struct MhConfig {
   double w_block_resample = 0.3;
   double w_independence = 0.2;
   std::size_t block_size = 8;
-  /// Retained-sample evaluations are deferred and flushed through the batched
-  /// multi-mask path (BayesianFaultNetwork::evaluate_masks) in groups of this
-  /// size. Results are bit-identical to evaluating each retained sample
-  /// inline — the outcome of a retained eval never feeds back into the chain
-  /// (the network returns to golden state and the RNG is untouched), so
-  /// deferral only changes when the forwards run, not what they compute.
-  /// 1 disables batching.
+  /// Ignored: retained samples are evaluated inline, one mask at a time.
+  /// Kept so existing callers that set it still compile.
   std::size_t mask_batch = 8;
   std::uint64_t seed = 1;
   /// Cooperative wall-clock watchdog: when > 0, the run abandons (result

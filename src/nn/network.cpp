@@ -6,7 +6,6 @@
 #include "nn/plan.h"
 #include "tensor/ops.h"
 #include "util/check.h"
-#include "util/stopwatch.h"
 
 namespace bdlfi::nn {
 
@@ -34,7 +33,7 @@ Tensor Network::forward_from(std::size_t first_layer, Tensor act,
                              bool training, const ActivationHook& hook) {
   BDLFI_CHECK_MSG(first_layer <= layers_.size(),
                   "forward_from past the end of the network");
-  if (!training && planned_ && first_layer < layers_.size()) {
+  if (!training && first_layer < layers_.size()) {
     if (const Tensor* out = planned_forward(first_layer, act, hook)) {
       return *out;  // deep copy: the arena view materializes to owned storage
     }
@@ -46,7 +45,7 @@ const Tensor& Network::forward_view(std::size_t first_layer, const Tensor& act,
                                     const ActivationHook& hook) {
   BDLFI_CHECK_MSG(first_layer <= layers_.size(),
                   "forward_view past the end of the network");
-  if (planned_ && first_layer < layers_.size()) {
+  if (first_layer < layers_.size()) {
     if (const Tensor* out = planned_forward(first_layer, act, hook)) {
       return *out;
     }
@@ -69,18 +68,18 @@ const Tensor* Network::planned_forward(std::size_t first_layer,
       return &plan->run(*this, first_layer, act, hook, fuse_);
     }
   }
-  // Compiling needs a full-network probe, so only a layer-0 call can create
-  // a plan; mid-network entries with an unknown shape fall back.
-  if (first_layer != 0) return nullptr;
+  // Compile from the entry layer, so a replica whose first evals resume
+  // mid-network gets a plan at once. A plan covers every later entry its
+  // probe passed through, so the ones it supersedes are dropped.
+  std::unique_ptr<ExecutionPlan> plan =
+      ExecutionPlan::compile(*this, act, first_layer);
+  std::erase_if(plans_, [&](const std::unique_ptr<ExecutionPlan>& old) {
+    return plan->supersedes(*old);
+  });
   constexpr std::size_t kMaxPlans = 4;
   if (plans_.size() >= kMaxPlans) plans_.erase(plans_.begin());
-  plans_.push_back(ExecutionPlan::compile(*this, act));
+  plans_.push_back(std::move(plan));
   return &plans_.back()->run(*this, first_layer, act, hook, fuse_);
-}
-
-void Network::set_planned(bool on) {
-  planned_ = on;
-  if (!on) plans_.clear();
 }
 
 const ExecutionPlan* Network::plan_for(const Shape& shape) const {
@@ -93,50 +92,41 @@ const ExecutionPlan* Network::plan_for(const Shape& shape) const {
 Tensor Network::forward_from_legacy(std::size_t first_layer, Tensor act,
                                     bool training,
                                     const ActivationHook& hook) {
-  // Self-checking forward only when something asks for it (ABFT on, or a
-  // compute-fault plan installed); otherwise the loops below are exactly the
-  // unchecked forward — the bit-exact-parity guarantee of abft.h.
-  const bool checked =
-      abft_.mode != tensor::abft::Mode::kOff ||
-      (compute_plan_ != nullptr && !compute_plan_->empty());
-  const auto run_checked = [&](std::size_t i) {
-    tensor::abft::OpContext ctx;
-    ctx.config = abft_;
-    // Layers outside a selective-placement restriction run unchecked (mode
-    // off) but keep their flips: the fault still strikes, nothing notices.
-    if (!abft_layer_checked(i)) ctx.config.mode = tensor::abft::Mode::kOff;
-    ctx.stats = &abft_stats();
-    if (compute_plan_ != nullptr) {
-      const auto it = compute_plan_->find(i);
-      if (it != compute_plan_->end()) ctx.flips = &it->second;
-    }
-    layers_[i].entry->set_compute_context(&ctx);
-    Tensor out = layers_[i].entry->forward(act, training);
-    layers_[i].entry->set_compute_context(nullptr);
-    return out;
-  };
-  if (profile_) {
-    for (std::size_t i = first_layer; i < layers_.size(); ++i) {
-      const util::Stopwatch timer;
-      act = checked ? run_checked(i) : layers_[i].entry->forward(act, training);
-      layer_seconds_[i] += timer.seconds();
-      ++layer_calls_[i];
-      if (hook) hook(i, act);
-    }
-    return act;
-  }
-  if (checked) {
-    for (std::size_t i = first_layer; i < layers_.size(); ++i) {
-      act = run_checked(i);
-      if (hook) hook(i, act);
-    }
-    return act;
-  }
+  // Unchecked layers run exactly the plain forward — the bit-exact-parity
+  // guarantee of abft.h.
+  const bool check = checked();
   for (std::size_t i = first_layer; i < layers_.size(); ++i) {
-    act = layers_[i].entry->forward(act, training);
+    Layer& layer = *layers_[i].entry;
+    if (check) {
+      const tensor::abft::OpContext ctx = op_context(i);
+      layer.set_compute_context(&ctx);
+      act = layer.forward(act, training);
+      layer.set_compute_context(nullptr);
+    } else {
+      act = layer.forward(act, training);
+    }
     if (hook) hook(i, act);
   }
   return act;
+}
+
+bool Network::checked() const {
+  return abft_.mode != tensor::abft::Mode::kOff ||
+         (compute_plan_ != nullptr && !compute_plan_->empty());
+}
+
+tensor::abft::OpContext Network::op_context(std::size_t i) const {
+  tensor::abft::OpContext ctx;
+  ctx.config = abft_;
+  // Layers outside a selective-placement restriction run unchecked (mode
+  // off) but keep their flips: the fault still strikes, nothing notices.
+  if (!abft_layer_checked(i)) ctx.config.mode = tensor::abft::Mode::kOff;
+  ctx.stats = &abft_stats();
+  if (compute_plan_ != nullptr) {
+    const auto it = compute_plan_->find(i);
+    if (it != compute_plan_->end()) ctx.flips = &it->second;
+  }
+  return ctx;
 }
 
 void Network::set_abft_layers(std::vector<std::size_t> layers) {
@@ -155,40 +145,6 @@ tensor::abft::Stats& Network::abft_stats() const {
     abft_stats_ = std::make_unique<tensor::abft::Stats>();
   }
   return *abft_stats_;
-}
-
-void Network::set_layer_profiling(bool on) {
-  // Plans snapshot the profiling flag at compile time; invalidate them on any
-  // change so a mid-campaign toggle recompiles instead of mixing timed and
-  // untimed step lists (which previously double-counted fused/replayed
-  // steps). See the header for the full semantics.
-  if (profile_ != on) plans_.clear();
-  profile_ = on;
-  if (on && layer_seconds_.size() != layers_.size()) {
-    layer_seconds_.assign(layers_.size(), 0.0);
-    layer_calls_.assign(layers_.size(), 0);
-  }
-}
-
-std::vector<Network::LayerTiming> Network::layer_profile() const {
-  std::vector<LayerTiming> out;
-  out.reserve(layers_.size());
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    LayerTiming t;
-    t.name = layers_[i].name;
-    t.kind = layers_[i].entry->kind();
-    if (i < layer_seconds_.size()) {
-      t.seconds = layer_seconds_[i];
-      t.calls = layer_calls_[i];
-    }
-    out.push_back(std::move(t));
-  }
-  return out;
-}
-
-void Network::reset_layer_profile() {
-  layer_seconds_.assign(layers_.size(), 0.0);
-  layer_calls_.assign(layers_.size(), 0);
 }
 
 Tensor Network::backward(const Tensor& grad_logits) {
@@ -239,13 +195,11 @@ Network Network::clone() const {
   }
   // ABFT is a deployment property of the network, so replicas keep it; the
   // counters and any installed compute-fault plan are per-instance state and
-  // start fresh (stats at zero, no plan). Planned execution and eval fusion
-  // are deployment properties too, but compiled ExecutionPlans are not
-  // copied: each replica compiles its own and therefore owns an independent
-  // arena.
+  // start fresh (stats at zero, no plan). Eval fusion is a deployment
+  // property too, but compiled ExecutionPlans are not copied: each replica
+  // compiles its own and therefore owns an independent arena.
   copy.abft_ = abft_;
   copy.abft_layers_ = abft_layers_;
-  copy.planned_ = planned_;
   copy.fuse_ = fuse_;
   return copy;
 }

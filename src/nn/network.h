@@ -70,23 +70,22 @@ class Network {
   /// fallback tensor. Valid until the next forward on this network; copy to
   /// keep. This is the hot path for mask-evaluation loops: steady state
   /// performs zero heap allocations.
+  ///
+  /// Eval forwards run on an ExecutionPlan (DESIGN.md §13), compiled on first
+  /// use from the layer the call enters at — pre-sized arena buffers, no
+  /// per-eval allocations, bit-exact with the layer-by-layer forward when
+  /// fusion is off. Training forwards and networks with a layer whose
+  /// plan_eval_safe() is false (MC dropout, calibrating range guards) run
+  /// layer by layer instead.
   const Tensor& forward_view(std::size_t first_layer, const Tensor& act,
                              const ActivationHook& hook = nullptr);
-
-  /// Planned execution toggle (default on). Eval-mode forwards compile an
-  /// ExecutionPlan on first use — pre-sized arena buffers, no per-eval
-  /// allocations — and are bit-exact with the legacy path when fusion is off.
-  /// Training forwards, MC-dropout networks, and calibrating range guards
-  /// always take the legacy path regardless.
-  void set_planned(bool on);
-  bool planned() const { return planned_; }
 
   /// Eval-mode fusion (default off; the --no-fuse escape hatch maps to
   /// set_eval_fusion(false)). Folds BN into conv weights inside residual
   /// blocks and elides dense+relu pairs. BN folding changes rounding relative
   /// to the unfused path (documented tolerance in DESIGN.md §13); dense+relu
   /// elision is bit-exact. A deployment property: clone() copies it. Ignored
-  /// for checked (ABFT/compute-fault) and profiled forwards.
+  /// for checked (ABFT/compute-fault) forwards.
   void set_eval_fusion(bool on) { fuse_ = on; }
   bool eval_fusion() const { return fuse_; }
 
@@ -126,28 +125,6 @@ class Network {
   /// One-line-per-layer summary (name, kind, #params).
   std::string summary();
 
-  /// Optional per-layer forward timing. Off by default (zero overhead); when
-  /// on, every forward/forward_from accumulates wall time per layer. Not
-  /// copied by clone(). Not thread-safe: profile a network from one thread.
-  ///
-  /// Interaction with planned execution: the flag is snapshotted when a plan
-  /// is compiled, and toggling it invalidates compiled plans. This makes
-  /// mid-campaign toggles well-defined — a layer is timed exactly once per
-  /// forward from the next forward onward, never double-counted across
-  /// fused/replayed steps. Accumulated seconds/calls survive re-enabling
-  /// (use reset_layer_profile() to zero them).
-  void set_layer_profiling(bool on);
-  bool layer_profiling() const { return profile_; }
-  struct LayerTiming {
-    std::string name;
-    std::string kind;
-    double seconds = 0.0;
-    std::size_t calls = 0;
-  };
-  /// One entry per layer (zeros for layers never executed while profiling).
-  std::vector<LayerTiming> layer_profile() const;
-  void reset_layer_profile();
-
   /// ABFT self-checking deployment for this network's GEMM-bearing layers
   /// (DESIGN.md §9). A *deployment property*: clone() copies it, so every
   /// MCMC replica of a protected network is protected the same way. With
@@ -186,27 +163,29 @@ class Network {
     std::unique_ptr<Layer> entry;
   };
 
-  /// Runs the planned path if a plan applies (compiling one when starting at
-  /// layer 0); returns nullptr when the planned path cannot serve this call
-  /// and the caller must fall back to the legacy loop.
+  /// Runs layers [first_layer, end) on a plan, compiling one from
+  /// first_layer when none covers the call; returns nullptr when a layer
+  /// vetoes planning and the caller must run layer by layer.
   const Tensor* planned_forward(std::size_t first_layer, const Tensor& act,
                                 const ActivationHook& hook);
   Tensor forward_from_legacy(std::size_t first_layer, Tensor act,
                              bool training, const ActivationHook& hook);
+  /// True when forwards must run self-checking: ABFT on, or compute faults
+  /// installed. Otherwise every layer runs exactly the unchecked forward.
+  bool checked() const;
+  /// The ABFT/compute-fault context layer `i` runs under in a checked
+  /// forward.
+  tensor::abft::OpContext op_context(std::size_t i) const;
 
   std::vector<Entry> layers_;
-  bool profile_ = false;
-  std::vector<double> layer_seconds_;
-  std::vector<std::size_t> layer_calls_;
   tensor::abft::Config abft_;
   std::vector<std::size_t> abft_layers_;  // sorted; empty = all layers
   mutable std::unique_ptr<tensor::abft::Stats> abft_stats_;
   const ComputeFaultPlan* compute_plan_ = nullptr;
-  // Compiled execution plans, one per distinct probe shape (bounded LRU-ish
-  // cache: oldest evicted). Per-instance — clones compile their own plans and
-  // therefore own independent arenas.
+  // Compiled execution plans, one per distinct entry (layer, shape) no other
+  // plan covers; bounded, oldest evicted. Per-instance — clones compile their
+  // own plans and therefore own independent arenas.
   std::vector<std::unique_ptr<ExecutionPlan>> plans_;
-  bool planned_ = true;
   bool fuse_ = false;
   Tensor fallback_logits_;  // forward_view storage on the legacy path
 };

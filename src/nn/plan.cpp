@@ -6,7 +6,6 @@
 #include "nn/resblock.h"
 #include "tensor/ops.h"
 #include "util/check.h"
-#include "util/stopwatch.h"
 
 namespace bdlfi::nn {
 
@@ -33,26 +32,29 @@ void fold_conv_bn(const Tensor& weight, const Tensor& bias, BatchNorm2d& bn,
 }
 
 std::unique_ptr<ExecutionPlan> ExecutionPlan::compile(Network& net,
-                                                      const Tensor& probe) {
-  BDLFI_CHECK_MSG(net.num_layers() > 0, "plan compile on empty network");
+                                                      const Tensor& probe,
+                                                      std::size_t first_layer) {
+  BDLFI_CHECK_MSG(first_layer < net.num_layers(),
+                  "plan compile past the end of the network");
   std::unique_ptr<ExecutionPlan> plan(new ExecutionPlan);
-  plan->profile_ = net.profile_;
+  plan->first_ = first_layer;
 
-  // Probe: one legacy eval forward records every layer-boundary shape. This
-  // works for any Layer subclass (custom layers included) without requiring a
-  // shape-inference virtual.
-  std::vector<Shape> shapes;  // shapes[i] = activation entering layer i
-  shapes.reserve(net.num_layers() + 1);
+  // Probe: one eval forward of the suffix records every layer-boundary shape.
+  // This works for any Layer subclass (custom layers included) without
+  // requiring a shape-inference virtual.
+  std::vector<Shape> shapes;  // shapes[i - first_layer] = entering layer i
+  shapes.reserve(net.num_layers() - first_layer + 1);
   Tensor act = probe;
   shapes.push_back(act.shape());
-  for (std::size_t i = 0; i < net.num_layers(); ++i) {
+  for (std::size_t i = first_layer; i < net.num_layers(); ++i) {
     act = net.layer(i).forward(act, /*training=*/false);
     shapes.push_back(act.shape());
   }
 
-  int in_buf = -1;  // group 0's input is always the external tensor
-  for (std::size_t i = 0; i < net.num_layers(); ++i) {
-    plan->lower_layer(net, i, shapes[i], shapes[i + 1], in_buf);
+  int in_buf = -1;  // the first group's input is always the external tensor
+  for (std::size_t i = first_layer; i < net.num_layers(); ++i) {
+    plan->lower_layer(net, i, shapes[i - first_layer],
+                      shapes[i - first_layer + 1], in_buf);
     in_buf = plan->groups_.back().out_buf;
   }
 
@@ -239,9 +241,15 @@ void ExecutionPlan::finalize() {
 }
 
 bool ExecutionPlan::covers(std::size_t first_layer, const Shape& shape) const {
-  // Groups are 1:1 with top-level layers, in order.
-  if (first_layer >= groups_.size()) return false;
-  return groups_[first_layer].in_shape == shape;
+  // Groups are 1:1 with top-level layers [first_, end), in order.
+  if (first_layer < first_ || first_layer - first_ >= groups_.size()) {
+    return false;
+  }
+  return groups_[first_layer - first_].in_shape == shape;
+}
+
+bool ExecutionPlan::supersedes(const ExecutionPlan& other) const {
+  return covers(other.first_, other.groups_.front().in_shape);
 }
 
 bool ExecutionPlan::fusion_compiled() const {
@@ -303,18 +311,16 @@ const Tensor& ExecutionPlan::run(Network& net, std::size_t first_layer,
                                  const Network::ActivationHook& hook,
                                  bool fuse) {
   BDLFI_CHECK(covers(first_layer, input.shape()));
-  const bool checked =
-      net.abft_.mode != tensor::abft::Mode::kOff ||
-      (net.compute_plan_ != nullptr && !net.compute_plan_->empty());
-  // Checked runs need the per-layer contexts of the unfused lowering;
-  // profiled runs keep per-layer attribution meaningful. Both force unfused.
-  const bool use_fused = fuse && !checked && !profile_;
+  const bool checked = net.checked();
+  // Checked runs need the per-layer contexts of the unfused lowering.
+  const bool use_fused = fuse && !checked;
   if (use_fused && !folds_.empty()) refold_all();
 
-  std::size_t g = first_layer;
+  const std::size_t entry = first_layer - first_;
+  std::size_t g = entry;
   while (g < groups_.size()) {
     Group& grp = groups_[g];
-    const Tensor& gin = (g == first_layer) ? input : groups_[g - 1].out_view;
+    const Tensor& gin = (g == entry) ? input : groups_[g - 1].out_view;
 
     // Exact elision spans only run hook-free: hooks must observe every
     // top-level index. Values are identical either way.
@@ -329,17 +335,7 @@ const Tensor& ExecutionPlan::run(Network& net, std::size_t first_layer,
     tensor::abft::OpContext ctx, inner;
     const tensor::abft::OpContext* inner_ptr = nullptr;
     if (checked) {
-      ctx.config = net.abft_;
-      // Same selective-placement semantics as the legacy path: unselected
-      // layers run mode-off (still receiving their flips).
-      if (!net.abft_layer_checked(grp.layer)) {
-        ctx.config.mode = tensor::abft::Mode::kOff;
-      }
-      ctx.stats = &net.abft_stats();
-      if (net.compute_plan_ != nullptr) {
-        const auto it = net.compute_plan_->find(grp.layer);
-        if (it != net.compute_plan_->end()) ctx.flips = &it->second;
-      }
+      ctx = net.op_context(grp.layer);
       inner = ctx;
       inner.flips = nullptr;  // flips address top-level output geometry
       inner_ptr = &inner;
@@ -347,14 +343,7 @@ const Tensor& ExecutionPlan::run(Network& net, std::size_t first_layer,
 
     std::vector<Step>& steps =
         (use_fused && !grp.fused.empty()) ? grp.fused : grp.steps;
-    if (profile_) {
-      const util::Stopwatch timer;
-      for (Step& s : steps) exec_step(s, gin, checked, &ctx, inner_ptr);
-      net.layer_seconds_[grp.layer] += timer.seconds();
-      ++net.layer_calls_[grp.layer];
-    } else {
-      for (Step& s : steps) exec_step(s, gin, checked, &ctx, inner_ptr);
-    }
+    for (Step& s : steps) exec_step(s, gin, checked, &ctx, inner_ptr);
     if (hook) hook(grp.layer, grp.out_view);
     ++g;
   }

@@ -1,22 +1,26 @@
 // ExecutionPlan: pre-sized, allocation-free eval-mode forward execution.
 //
-// At first eval-mode forward the network walks its layer graph once (a probe
-// forward) to size every intermediate activation, allocates all of them from
-// a single 64-byte-aligned Arena, and compiles a step list referencing arena
-// offsets. Steady-state evaluations then reuse the same buffers — zero heap
+// At the first eval-mode forward that enters at layer L with a shape no plan
+// covers, the network walks layers [L, end) once (a probe forward) to size
+// every intermediate activation, allocates all of them from a single
+// 64-byte-aligned Arena, and compiles a step list referencing arena offsets.
+// Steady-state evaluations then reuse the same buffers — zero heap
 // allocations per forward — which is what lets a fault-injection campaign run
-// millions of truncated replays without churning the allocator.
+// millions of truncated replays without churning the allocator. A plan
+// compiled from L also serves every later entry point its probe passed
+// through; an entry before L compiles a longer plan that supersedes it.
 //
-// The plan mirrors the legacy layer-by-layer forward exactly:
-//   * Unfused execution is bit-exact with Network's legacy eval path: every
-//     step calls the same kernels in the same order on the same values.
+// The plan mirrors the layer-by-layer forward exactly:
+//   * Unfused execution is bit-exact with Layer::forward run layer by layer:
+//     every step calls the same kernels in the same order on the same
+//     values.
 //   * Activation hooks fire once per *top-level* layer index with a borrowed
 //     view of the arena slot — the same indices, values, and mutation
-//     semantics as the legacy path (BasicBlock internals are never exposed,
-//     exactly as before).
+//     semantics as the layer-by-layer path (BasicBlock internals are never
+//     exposed).
 //   * ABFT checking and compute-fault plans run through the plan with the
-//     same per-layer OpContext the legacy path installs (block-inner convs
-//     get the flip-stripped context, matching BasicBlock::forward).
+//     same per-layer OpContext the layer-by-layer path installs (block-inner
+//     convs get the flip-stripped context, matching BasicBlock::forward).
 //
 // Eval-mode fusion (opt-in via Network::set_eval_fusion) adds a second,
 // fused lowering per BasicBlock: BN folded into the preceding conv's
@@ -28,11 +32,11 @@
 // same (folded) arithmetic and fault-free runs stay SDC-free. Top-level
 // dense+relu pairs are additionally elided into one step when no hook is
 // installed — that fusion is bit-exact (relu runs in place on the dense
-// output), so it needs no tolerance. Checked (ABFT / compute-fault) and
-// profiled runs always take the unfused steps.
+// output), so it needs no tolerance. Checked (ABFT / compute-fault) runs
+// always take the unfused steps.
 //
 // Thread safety: a plan owns one arena; run() is single-threaded per network
-// instance, like the legacy forward (kernels still parallelize internally).
+// instance (kernels still parallelize internally).
 // Cloned networks compile their own plans — independent arenas by design.
 #pragma once
 
@@ -61,35 +65,35 @@ struct Workspace {
 ///   bf[o]    = (bias[o] or 0) * scale[o] + beta[o] - running_mean[o]*scale[o]
 /// `weight` must be [O, ...] with the output channel outermost (OIHW convs,
 /// [out, in] dense). `folded_weight`/`folded_bias` must be pre-shaped to
-/// [O, ...] / [O]. Exposed for per-variant folding in the batched multi-mask
-/// evaluator.
+/// [O, ...] / [O].
 void fold_conv_bn(const Tensor& weight, const Tensor& bias, BatchNorm2d& bn,
                   Tensor& folded_weight, Tensor& folded_bias);
 
 class ExecutionPlan {
  public:
-  /// Compiles a plan for `net` by probing one legacy eval forward with
-  /// `probe_input` (shapes are recorded; no layer state is perturbed — the
-  /// caller must have verified plan_eval_safe() on every layer). The
-  /// profiling flag is snapshotted here: toggling Network profiling
-  /// invalidates the plan rather than changing a compiled one mid-campaign.
+  /// Compiles a plan for layers [first_layer, end) of `net` by probing one
+  /// eval forward of those layers with `probe_input`, the activation entering
+  /// first_layer (shapes are recorded; no layer state is perturbed — the
+  /// caller must have verified plan_eval_safe() on every layer).
   static std::unique_ptr<ExecutionPlan> compile(Network& net,
-                                                const Tensor& probe_input);
+                                                const Tensor& probe_input,
+                                                std::size_t first_layer);
 
   /// True when this plan can execute layers [first_layer, end) on an
   /// activation of shape `shape` (shape must equal the probe activation
   /// entering that layer).
   bool covers(std::size_t first_layer, const Shape& shape) const;
 
+  /// True when this plan covers the entry `other` was compiled for, so
+  /// `other` is redundant.
+  bool supersedes(const ExecutionPlan& other) const;
+
   /// Runs layers [first_layer, end). `input` is the activation entering
   /// `first_layer`. Returns a borrowed view of the logits arena slot — valid
   /// until the next run() or plan destruction; copy to keep. `fuse` requests
-  /// the fused lowering (ignored for checked or profiled execution).
+  /// the fused lowering (ignored for checked execution).
   const Tensor& run(Network& net, std::size_t first_layer, const Tensor& input,
                     const Network::ActivationHook& hook, bool fuse);
-
-  /// Profiling state captured at compile time (see Network::set_layer_profiling).
-  bool profiling_snapshot() const { return profile_; }
 
   /// Arena capacity in floats — the planned high-water mark.
   std::size_t arena_floats() const { return arena_.size(); }
@@ -137,8 +141,8 @@ class ExecutionPlan {
     std::vector<Step> steps;  // unfused lowering (always present)
     std::vector<Step> fused;  // fused lowering (empty: use steps)
     // Exact multi-group elision (dense+relu): when span_len > 1 and fusion is
-    // on with no hook and no profiling, span_steps replaces this group and
-    // the next span_len - 1 groups.
+    // on with no hook, span_steps replaces this group and the next
+    // span_len - 1 groups.
     std::size_t span_len = 1;
     std::vector<Step> span_steps;
   };
@@ -154,8 +158,8 @@ class ExecutionPlan {
                  const tensor::abft::OpContext* ctx,
                  const tensor::abft::OpContext* inner_ctx);
 
-  bool profile_ = false;
-  std::vector<Group> groups_;
+  std::size_t first_ = 0;     // layer index of groups_[0]
+  std::vector<Group> groups_;  // one per layer in [first_, end)
   std::vector<Fold> folds_;
   std::vector<std::int64_t> buffer_sizes_;  // floats, high-water per buffer
   std::vector<std::size_t> buffer_offsets_;

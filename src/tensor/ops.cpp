@@ -62,6 +62,75 @@ void im2col_ld(const float* input, std::int64_t channels, std::int64_t h,
   }
 }
 
+// Unchecked conv over fused [patch, T*OH*OW] panels: one GEMM per tile of T
+// samples instead of one narrow GEMM per sample, so im2col and panel traffic
+// are paid once per tile. Per element the results are bit-identical to the
+// per-sample GEMMs (backend.h: panel width never changes a GEMM element).
+// `bias` nullptr = no bias.
+void conv2d_panels(const float* input, std::int64_t n, std::int64_t c,
+                   std::int64_t h, std::int64_t w, const float* weight,
+                   const float* bias, std::int64_t o, const Conv2dSpec& spec,
+                   float* output) {
+  const std::int64_t oh = spec.out_h(h), ow = spec.out_w(w);
+  const std::int64_t ohow = oh * ow;
+  const std::int64_t patch = c * spec.kernel_h * spec.kernel_w;
+  const std::int64_t chw = c * h * w;
+
+  // Samples per panel. At most ~256 KiB of panel (cache-resident across the
+  // row-block passes) and a bounded per-tile output staging buffer. Within
+  // that, the batch splits into up to one tile per pool thread, as long as
+  // every tile keeps kMinPanelCols columns: a layer whose whole batch fits
+  // one panel (late ResNet blocks, OH*OW = 4) still spreads over the cores,
+  // without shrinking panels into the kernels' scalar column remainder.
+  // Tiles are then evened out so the last one is not a sliver.
+  constexpr std::int64_t kPanelFloats = 64 * 1024;
+  constexpr std::int64_t kMinPanelCols = 64;
+  const std::int64_t max_tile = std::min(
+      std::clamp<std::int64_t>(
+          kPanelFloats / std::max<std::int64_t>(1, patch * ohow), 1, n),
+      std::max<std::int64_t>(1, (4 << 20) / (o * ohow)));
+  const auto threads =
+      static_cast<std::int64_t>(util::ThreadPool::global().size());
+  const std::int64_t want_tiles = std::clamp<std::int64_t>(
+      std::max((n + max_tile - 1) / max_tile,
+               std::min(threads, n * ohow / kMinPanelCols)),
+      1, n);
+  const std::int64_t tile = (n + want_tiles - 1) / want_tiles;
+  const std::int64_t num_tiles = (n + tile - 1) / tile;
+
+  const backend::KernelBackend& be = backend::active();
+  util::parallel_for(0, static_cast<std::size_t>(num_tiles), [&](std::size_t ti) {
+    const std::int64_t t0 = static_cast<std::int64_t>(ti) * tile;
+    const std::int64_t t_n = std::min(tile, n - t0);
+    const std::int64_t pw = t_n * ohow;  // fused panel width
+    float* panel =
+        scratch_floats(2, static_cast<std::size_t>(patch * pw));
+    for (std::int64_t t = 0; t < t_n; ++t) {
+      im2col_ld(input + (t0 + t) * chw, c, h, w, spec, panel, pw, t * ohow);
+    }
+    // gemm_variants with one variant: alpha = 1 and beta = 0 are baked into
+    // its kernels (6-row blocks on AVX2), bit-identical to gemm_rows.
+    float* staged = scratch_floats(3, static_cast<std::size_t>(o * pw));
+    const float* a_list[1] = {weight};
+    float* c_list[1] = {staged};
+    be.gemm_variants(o, pw, patch, a_list, 1, patch, panel, pw, c_list, pw);
+    // Write the staged [O, pw] result back into each sample's [O, OH*OW]
+    // window, then apply the bias exactly like the per-sample path
+    // (add_const per output plane).
+    for (std::int64_t t = 0; t < t_n; ++t) {
+      float* out = output + ((t0 + t) * o) * ohow;
+      for (std::int64_t oc = 0; oc < o; ++oc) {
+        std::copy_n(staged + oc * pw + t * ohow, ohow, out + oc * ohow);
+      }
+      if (bias != nullptr) {
+        for (std::int64_t oc = 0; oc < o; ++oc) {
+          be.add_const(out + oc * ohow, bias[oc], ohow);
+        }
+      }
+    }
+  });
+}
+
 }  // namespace
 
 // The per-element kernels live in the active backend::KernelBackend table
@@ -239,13 +308,10 @@ void conv2d_forward_into(const Tensor& input, const Tensor& weight,
   if (ctx.config.mode == abft::Mode::kOff &&
       (ctx.flips == nullptr || ctx.flips->empty())) {
     // Inactive context: gemm_checked would be a plain gemm, so the batch
-    // runs as fused [patch, T*OH*OW] panels, one GEMM per tile of samples
-    // instead of one narrow GEMM per sample. Per element the results are
-    // bit-identical (backend.h: panel width never changes a GEMM element).
-    const float* weights[1] = {weight.data()};
-    const float* biases[1] = {bias.empty() ? nullptr : bias.data()};
-    conv2d_forward_multi(input.data(), /*shared_input=*/false, 1, n, c, h, w,
-                         weights, biases, o, spec, output.data());
+    // runs as fused multi-sample panels.
+    conv2d_panels(input.data(), n, c, h, w, weight.data(),
+                  bias.empty() ? nullptr : bias.data(), o, spec,
+                  output.data());
     return;
   }
 
@@ -268,105 +334,6 @@ void conv2d_forward_into(const Tensor& input, const Tensor& weight,
       const backend::KernelBackend& be = backend::active();
       for (std::int64_t oc = 0; oc < o; ++oc) {
         be.add_const(out + oc * oh * ow, bias[oc], oh * ow);
-      }
-    }
-  });
-}
-
-void conv2d_forward_multi(const float* input, bool shared_input,
-                          std::size_t variants, std::int64_t n,
-                          std::int64_t c, std::int64_t h, std::int64_t w,
-                          const float* const* weights,
-                          const float* const* biases, std::int64_t o,
-                          const Conv2dSpec& spec, float* output) {
-  BDLFI_CHECK(variants > 0 && n > 0);
-  const std::int64_t oh = spec.out_h(h), ow = spec.out_w(w);
-  const std::int64_t ohow = oh * ow;
-  const std::int64_t patch = c * spec.kernel_h * spec.kernel_w;
-  const std::int64_t chw = c * h * w;
-  const auto v_count = static_cast<std::int64_t>(variants);
-
-  // Samples per panel. At most ~256 KiB of panel (cache-resident across the
-  // row-block and variant passes) and a bounded per-tile output staging
-  // buffer. Within that, the batch splits into up to one tile per pool
-  // thread, as long as every tile keeps kMinPanelCols columns: a layer whose
-  // whole batch fits one panel (late ResNet blocks, OH*OW = 4) still spreads
-  // over the cores, without shrinking panels into the kernels' scalar
-  // column remainder. Tiles are then evened out so the last one is not a
-  // sliver.
-  constexpr std::int64_t kPanelFloats = 64 * 1024;
-  constexpr std::int64_t kMinPanelCols = 64;
-  const std::int64_t max_tile = std::min(
-      std::clamp<std::int64_t>(
-          kPanelFloats / std::max<std::int64_t>(1, patch * ohow), 1, n),
-      std::max<std::int64_t>(1, (4 << 20) / (v_count * o * ohow)));
-  const auto threads =
-      static_cast<std::int64_t>(util::ThreadPool::global().size());
-  const std::int64_t want_tiles = std::clamp<std::int64_t>(
-      std::max((n + max_tile - 1) / max_tile,
-               std::min(threads, n * ohow / kMinPanelCols)),
-      1, n);
-  const std::int64_t tile = (n + want_tiles - 1) / want_tiles;
-  const std::int64_t num_tiles = (n + tile - 1) / tile;
-
-  const backend::KernelBackend& be = backend::active();
-  util::parallel_for(0, static_cast<std::size_t>(num_tiles), [&](std::size_t ti) {
-    const std::int64_t t0 = static_cast<std::int64_t>(ti) * tile;
-    const std::int64_t t_n = std::min(tile, n - t0);
-    const std::int64_t pw = t_n * ohow;  // fused panel width
-    float* panel =
-        scratch_floats(2, static_cast<std::size_t>(patch * pw));
-
-    // Writes each variant's staged [O, pw] GEMM result back into that
-    // variant's per-sample [O, OH*OW] output windows, then applies the bias
-    // exactly like the sequential path (add_const per output plane).
-    const auto scatter = [&](std::int64_t v, const float* staged) {
-      for (std::int64_t t = 0; t < t_n; ++t) {
-        float* out = output + ((v * n + t0 + t) * o) * ohow;
-        for (std::int64_t oc = 0; oc < o; ++oc) {
-          std::copy_n(staged + oc * pw + t * ohow, ohow, out + oc * ohow);
-        }
-        if (biases[v] != nullptr) {
-          for (std::int64_t oc = 0; oc < o; ++oc) {
-            be.add_const(out + oc * ohow, biases[v][oc], ohow);
-          }
-        }
-      }
-    };
-
-    if (shared_input) {
-      // All variants read the same samples: unfold the panel once and run
-      // every variant's weights against it in one kernel call.
-      for (std::int64_t t = 0; t < t_n; ++t) {
-        im2col_ld(input + (t0 + t) * chw, c, h, w, spec, panel, pw, t * ohow);
-      }
-      float* staged =
-          scratch_floats(3, static_cast<std::size_t>(v_count * o * pw));
-      std::vector<const float*> a_list(variants);
-      std::vector<float*> c_list(variants);
-      for (std::int64_t v = 0; v < v_count; ++v) {
-        a_list[static_cast<std::size_t>(v)] = weights[v];
-        c_list[static_cast<std::size_t>(v)] = staged + v * o * pw;
-      }
-      be.gemm_variants(o, pw, patch, a_list.data(), variants, patch, panel,
-                       pw, c_list.data(), pw);
-      for (std::int64_t v = 0; v < v_count; ++v) {
-        scatter(v, staged + v * o * pw);
-      }
-    } else {
-      // Diverged inputs: each variant gets its own fused panel; the width
-      // amortization (one wide GEMM instead of t_n narrow ones) still holds.
-      float* staged = scratch_floats(3, static_cast<std::size_t>(o * pw));
-      for (std::int64_t v = 0; v < v_count; ++v) {
-        const float* block = input + (v * n + t0) * chw;
-        for (std::int64_t t = 0; t < t_n; ++t) {
-          im2col_ld(block + t * chw, c, h, w, spec, panel, pw, t * ohow);
-        }
-        const float* a_list[1] = {weights[v]};
-        float* c_list[1] = {staged};
-        be.gemm_variants(o, pw, patch, a_list, 1, patch, panel, pw, c_list,
-                         pw);
-        scatter(v, staged);
       }
     }
   });

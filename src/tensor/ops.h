@@ -90,35 +90,12 @@ Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
 /// (pre-shaped by the caller, must not alias `input`). Bit-exact with the
 /// allocating overloads — they are thin wrappers around this. The only
 /// per-call storage is the thread-local im2col scratch, which is grow-once.
-/// With an inactive ctx (ABFT off, no flips) this is conv2d_forward_multi
-/// with one variant: fused multi-sample panels, bit-identical per element to
-/// the per-sample GEMMs an active ctx runs through abft::gemm_checked.
+/// With an inactive ctx (ABFT off, no flips) the batch runs as fused
+/// multi-sample [patch, T*OH*OW] panels, bit-identical per element to the
+/// per-sample GEMMs an active ctx runs through abft::gemm_checked.
 void conv2d_forward_into(const Tensor& input, const Tensor& weight,
                          const Tensor& bias, const Conv2dSpec& spec,
                          const abft::OpContext& ctx, Tensor& output);
-
-/// Batched multi-variant convolution over shared im2col panels — the kernel
-/// bed of MultiMaskEvaluator (DESIGN.md §10). The input holds per-variant
-/// sample blocks: variant v owns samples [v*n, (v+1)*n) of a [variants*n, C,
-/// H, W] NCHW buffer, unless `shared_input` is set, in which case `input` is
-/// a single [n, C, H, W] block that every variant reads (the dirty layer of
-/// a truncated replay, where all variants restart from the same cached
-/// activation). weights[v] points at variant v's [O, C, kh, kw] kernel and
-/// biases[v] at its [O] bias (nullptr = no bias). Output is the stacked
-/// [variants*n, O, OH, OW] buffer.
-///
-/// Samples are tiled into wide [patch, T*OH*OW] panels that feed the
-/// backend's gemm_variants kernel, so im2col and panel traffic are paid once
-/// per tile instead of once per (variant, sample). Per sample the results
-/// are bit-identical to conv2d_forward with that variant's weights, on every
-/// backend — panel width and row grouping never change per-element GEMM
-/// results (see backend.h).
-void conv2d_forward_multi(const float* input, bool shared_input,
-                          std::size_t variants, std::int64_t n,
-                          std::int64_t c, std::int64_t h, std::int64_t w,
-                          const float* const* weights,
-                          const float* const* biases, std::int64_t o,
-                          const Conv2dSpec& spec, float* output);
 
 /// Gradients of conv2d. grad_output is [N,O,OH,OW]; fills grad_input
 /// (same shape as input), grad_weight, grad_bias (accumulated over batch).

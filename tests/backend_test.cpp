@@ -11,6 +11,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -366,6 +367,54 @@ TEST(BackendDispatch, GemmThroughActiveBackendMatchesScalar) {
     EXPECT_NEAR(c_scalar.data()[i], c_avx2.data()[i], 1e-4)
         << "i=" << i;
   }
+}
+
+// gemm_variants must match gemm_rows bit for bit on each table: the
+// unchecked panel conv relies on it for parity with the per-sample path.
+
+void check_gemm_variants(const tensor::backend::KernelBackend& be) {
+  const std::int64_t m = 7, n = 13, k = 9;
+  constexpr std::size_t kVariants = 3;
+  util::Rng rng{409};
+  std::vector<std::vector<float>> a(kVariants);
+  std::vector<float> b(static_cast<std::size_t>(k * n));
+  for (auto& x : b) x = static_cast<float>(rng.normal());
+  std::vector<const float*> a_ptrs(kVariants);
+  for (std::size_t v = 0; v < kVariants; ++v) {
+    a[v].resize(static_cast<std::size_t>(m * k));
+    for (std::size_t i = 0; i < a[v].size(); ++i) {
+      // Sprinkle exact zeros: the scalar kernel's zero-skip must behave
+      // identically through both entry points.
+      a[v][i] = (i % 5 == v) ? 0.0f : static_cast<float>(rng.normal());
+    }
+    a_ptrs[v] = a[v].data();
+  }
+  std::vector<std::vector<float>> got(kVariants), want(kVariants);
+  std::vector<float*> c_ptrs(kVariants);
+  for (std::size_t v = 0; v < kVariants; ++v) {
+    got[v].assign(static_cast<std::size_t>(m * n), -1.0f);
+    want[v].assign(static_cast<std::size_t>(m * n), -2.0f);
+    c_ptrs[v] = got[v].data();
+  }
+  be.gemm_variants(m, n, k, a_ptrs.data(), kVariants, k, b.data(), n,
+                   c_ptrs.data(), n);
+  for (std::size_t v = 0; v < kVariants; ++v) {
+    be.gemm_rows(false, false, 0, m, n, k, 1.0f, a[v].data(), k, b.data(), n,
+                 0.0f, want[v].data(), n);
+    EXPECT_EQ(std::memcmp(got[v].data(), want[v].data(),
+                          want[v].size() * sizeof(float)),
+              0)
+        << be.name << " variant " << v;
+  }
+}
+
+TEST(MultiMaskKernels, GemmVariantsMatchesGemmRowsScalar) {
+  check_gemm_variants(tensor::backend::scalar_backend());
+}
+
+TEST(MultiMaskKernels, GemmVariantsMatchesGemmRowsAvx2) {
+  if (!tensor::backend::avx2_supported()) GTEST_SKIP() << "no AVX2";
+  check_gemm_variants(tensor::backend::avx2_backend());
 }
 
 // ---------------------------------------------------------------------------

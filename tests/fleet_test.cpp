@@ -13,6 +13,10 @@
 #include <string>
 #include <vector>
 
+#if defined(__unix__) || defined(__APPLE__)
+#include <unistd.h>
+#endif
+
 #include "bayes/targets.h"
 #include "data/toy2d.h"
 #include "fleet/runner.h"
@@ -30,8 +34,20 @@
 namespace bdlfi::fleet {
 namespace {
 
+// ctest runs every test case in its own process, several at once; a
+// per-process prefix keeps one case's set-up and teardown from deleting files
+// a sibling process is still using.
+std::string temp_path(const std::string& name) {
+#if defined(__unix__) || defined(__APPLE__)
+  const std::string pid = std::to_string(::getpid());
+#else
+  const std::string pid = "0";
+#endif
+  return ::testing::TempDir() + "bdlfi_fleet_" + pid + "_" + name;
+}
+
 std::string fresh_dir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "bdlfi_fleet_" + name;
+  const std::string dir = temp_path(name);
   std::filesystem::remove_all(dir);
   return dir;
 }
@@ -307,8 +323,7 @@ class FleetRunTest : public ::testing::Test {
     config.lr = 0.05;
     config.seed = 3;
     train::fit(net, all, all, config);
-    ckpt_path_ = new std::string(::testing::TempDir() +
-                                 "bdlfi_fleet_golden.ckpt");
+    ckpt_path_ = new std::string(temp_path("golden.ckpt"));
     ASSERT_TRUE(nn::save_checkpoint(net, *ckpt_path_));
   }
   static void TearDownTestSuite() {

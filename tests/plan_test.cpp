@@ -4,24 +4,26 @@
 //   * ≥1000 steady-state evals perform no large heap allocations
 //     (instrumented global allocator; small control-flow vectors under the
 //     4 KiB threshold are explicitly out of scope — see DESIGN.md §13);
+//   * steady-state mask evals allocate nothing large, including on a fresh
+//     replica whose evals all resume mid-network;
 //   * cloned networks compile independent plans with independent arenas;
-//   * unfused planned execution is bit-exact with the legacy layer-by-layer
-//     path (full forwards and truncated forward_from replays alike), which
-//     is exactly the --no-fuse guarantee;
+//   * unfused planned execution is bit-exact with Layer::forward run layer
+//     by layer (full forwards and truncated replays from every resume point,
+//     on a layer-0 plan and on a plan compiled from that resume point),
+//     which is exactly the --no-fuse guarantee;
 //   * BN-folded fused execution matches unfused within the documented
 //     tolerance, and fold_conv_bn itself matches conv→bn→relu;
 //   * fault-site enumeration (names, offsets, owning layers) is identical
 //     with fusion on and off — fusion never renames or reorders sites;
-//   * evaluate_masks stays bit-exact with sequential evaluation on the
-//     planned path for K ∈ {1, 8, 32};
-//   * the profiling flag is snapshotted at plan compile time: toggling it
-//     invalidates the plan instead of mutating a compiled one.
+//   * evaluate(EvalRequest) stays bit-exact with per-mask evaluate_mask on
+//     the planned path for K ∈ {1, 8, 32}.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -133,7 +135,6 @@ void expect_bitwise_equal(const Tensor& a, const Tensor& b) {
 
 TEST(PlanTest, CompilesOnFirstEvalForwardAndCovers) {
   Subject s = make_resnet_subject();
-  EXPECT_TRUE(s.net.planned());
   EXPECT_EQ(s.net.plan_for(s.inputs.shape()), nullptr);
 
   (void)s.net.forward_view(0, s.inputs);
@@ -185,22 +186,34 @@ TEST(PlanTest, SteadyStateForwardsMakeNoLargeAllocations) {
 }
 
 TEST(PlanTest, SteadyStateMaskEvalsMakeNoLargeAllocations) {
+  const auto check = [](bayes::BayesianFaultNetwork& bfn, double p) {
+    util::Rng rng{405};
+    std::vector<fault::FaultMask> masks;
+    for (int i = 0; i < 25; ++i) {
+      masks.push_back(bfn.sample_prior_mask(p, rng));
+    }
+    for (const auto& mask : masks) (void)bfn.evaluate_mask(mask);  // warm
+
+    AllocWatch watch;
+    for (int rep = 0; rep < 40; ++rep) {
+      for (const auto& mask : masks) (void)bfn.evaluate_mask(mask);
+    }
+    EXPECT_EQ(watch.count(), 0u);
+  };
   Subject s = make_resnet_subject();
   bayes::BayesianFaultNetwork bfn(s.net, bayes::TargetSpec::all_parameters(),
                                   fault::AvfProfile::uniform(), s.inputs,
                                   s.labels);
-  util::Rng rng{405};
-  std::vector<fault::FaultMask> masks;
-  for (int i = 0; i < 25; ++i) {
-    masks.push_back(bfn.sample_prior_mask(1e-5, rng));
-  }
-  for (const auto& mask : masks) (void)bfn.evaluate_mask(mask);  // warm pools
+  check(bfn, 1e-5);
 
-  AllocWatch watch;
-  for (int rep = 0; rep < 40; ++rep) {
-    for (const auto& mask : masks) (void)bfn.evaluate_mask(mask);
-  }
-  EXPECT_EQ(watch.count(), 0u);
+  // A replica starts with no plans, and with a late-layer target none of its
+  // evals enters at layer 0: its plan must compile from the entry layer.
+  bayes::BayesianFaultNetwork late(
+      s.net, bayes::TargetSpec::single_layer("block3"),
+      fault::AvfProfile::uniform(), s.inputs, s.labels);
+  const std::unique_ptr<bayes::BayesianFaultNetwork> replica =
+      late.replicate();
+  check(*replica, 1e-3);
 }
 
 TEST(PlanTest, ClonedNetworksOwnIndependentPlansAndArenas) {
@@ -208,7 +221,6 @@ TEST(PlanTest, ClonedNetworksOwnIndependentPlansAndArenas) {
   (void)s.net.forward_view(0, s.inputs);
 
   nn::Network copy = s.net.clone();
-  EXPECT_TRUE(copy.planned());
   // Plans are not copied — the clone compiles its own on first use.
   EXPECT_EQ(copy.plan_for(s.inputs.shape()), nullptr);
   (void)copy.forward_view(0, s.inputs);
@@ -229,26 +241,25 @@ TEST(PlanTest, ClonedNetworksOwnIndependentPlansAndArenas) {
 
 TEST(PlanTest, PlannedUnfusedIsBitExactWithLegacy) {
   const auto check = [](Subject s) {
-    s.net.set_planned(false);
-    Tensor legacy = s.net.forward(s.inputs);
-    s.net.set_planned(true);
-    EXPECT_FALSE(s.net.eval_fusion());  // --no-fuse semantics by default
-    Tensor planned = s.net.forward(s.inputs);
-    expect_bitwise_equal(legacy, planned);
-
-    // Truncated replays hit the same plan mid-network; parity must hold for
-    // every resume point, since the mask-evaluation pipeline rests on it.
-    std::vector<Tensor> acts;
-    s.net.set_planned(false);
-    (void)s.net.forward(s.inputs, false, [&](std::size_t, Tensor& act) {
+    // Reference: Layer::forward run layer by layer, no plan involved.
+    std::vector<Tensor> acts;  // acts[i] = output of layer i
+    Tensor act = s.inputs;
+    for (std::size_t i = 0; i < s.net.num_layers(); ++i) {
+      act = s.net.layer(i).forward(act, /*training=*/false);
       acts.push_back(act);
-    });
+    }
+    EXPECT_FALSE(s.net.eval_fusion());  // --no-fuse semantics by default
+    expect_bitwise_equal(acts.back(), s.net.forward(s.inputs));
+
+    // Truncated replays enter mid-network; parity must hold for every resume
+    // point, since the mask-evaluation pipeline rests on it. The network
+    // reuses its layer-0 plan; a fresh clone whose first eval enters at k
+    // compiles its plan from k.
     for (std::size_t k = 1; k < acts.size(); ++k) {
-      s.net.set_planned(false);
-      Tensor want = s.net.forward_from(k, acts[k - 1]);
-      s.net.set_planned(true);
-      const Tensor& got = s.net.forward_view(k, acts[k - 1]);
-      expect_bitwise_equal(want, got);
+      SCOPED_TRACE("resume at layer " + std::to_string(k));
+      expect_bitwise_equal(acts.back(), s.net.forward_view(k, acts[k - 1]));
+      nn::Network fresh = s.net.clone();
+      expect_bitwise_equal(acts.back(), fresh.forward_view(k, acts[k - 1]));
     }
   };
   check(make_mlp_subject());
@@ -352,10 +363,6 @@ TEST(PlanTest, EvaluateMasksBitExactOnPlannedPath) {
 
     const bayes::EvalOutcome got = bat.evaluate({masks, k});
     ASSERT_EQ(got.outcomes.size(), want.size());
-    EXPECT_EQ(got.batched + got.sequential, masks.size());
-    if (k <= 1) {
-      EXPECT_EQ(got.sequential, masks.size());
-    }
     for (std::size_t i = 0; i < want.size(); ++i) {
       EXPECT_DOUBLE_EQ(want[i].classification_error,
                        got.outcomes[i].classification_error);
@@ -366,28 +373,6 @@ TEST(PlanTest, EvaluateMasksBitExactOnPlannedPath) {
       EXPECT_EQ(want[i].flipped_bits, got.outcomes[i].flipped_bits);
     }
   }
-}
-
-TEST(PlanTest, ProfilingFlagIsSnapshottedAtCompile) {
-  Subject s = make_resnet_subject();
-  (void)s.net.forward_view(0, s.inputs);
-  const nn::ExecutionPlan* cold = s.net.plan_for(s.inputs.shape());
-  ASSERT_NE(cold, nullptr);
-  EXPECT_FALSE(cold->profiling_snapshot());
-
-  // Toggling profiling mid-campaign invalidates the plan; the recompiled one
-  // carries the new snapshot — a fused/replayed step can never be counted
-  // under a stale flag.
-  s.net.set_layer_profiling(true);
-  EXPECT_EQ(s.net.plan_for(s.inputs.shape()), nullptr);
-  (void)s.net.forward_view(0, s.inputs);
-  const nn::ExecutionPlan* hot = s.net.plan_for(s.inputs.shape());
-  ASSERT_NE(hot, nullptr);
-  EXPECT_TRUE(hot->profiling_snapshot());
-
-  // Re-setting the same value is a no-op — the plan survives.
-  s.net.set_layer_profiling(true);
-  EXPECT_EQ(s.net.plan_for(s.inputs.shape()), hot);
 }
 
 }  // namespace

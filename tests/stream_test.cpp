@@ -449,7 +449,7 @@ TEST(BenchHistory, ExtractsHeadlineMetricsPerBench) {
 
   const auto mask = entry_from_bench_doc(
       parse(R"({"config":{"backend":"scalar","smoke":false},
-          "multi_mask":{"summary":{"overall_speedup":4.5}}})"),
+          "summary":{"overall_speedup":4.5}})"),
       "mask_eval", &error);
   ASSERT_TRUE(mask.has_value()) << error;
   EXPECT_DOUBLE_EQ(mask->value, 4.5);

@@ -19,8 +19,6 @@
 // Kernels: --backend=scalar|avx2|auto selects the SIMD backend (default:
 // BDLFI_BACKEND env, else scalar). Campaign checkpoints record the backend
 // and --resume refuses to continue under a different one (exit 6).
-// --mask-batch=K fuses K fault variants per widened forward in the batched
-// multi-mask evaluation path (bit-identical to K=1; DESIGN.md §10).
 // Resilience (campaign commands): --checkpoint-dir=<dir> saves an atomic
 // per-round campaign checkpoint (and arms SIGINT/SIGTERM for a graceful
 // stop), --resume continues bit-exactly from it, --round-timeout-ms /
@@ -167,8 +165,6 @@ mcmc::RunnerConfig runner_from(const Flags& args, bench::ObsSession& session) {
   runner.mh.samples = args.get("samples-per-chain", std::size_t{100});
   runner.mh.burn_in = args.get("burn-in", std::size_t{30});
   runner.mh.thin = args.get("thin", std::size_t{5});
-  runner.mh.mask_batch = args.get("mask-batch", runner.mh.mask_batch);
-  runner.gibbs.mask_batch = args.get("mask-batch", runner.gibbs.mask_batch);
   runner.seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{1}));
   bench::parse_campaign_flags(args, session, runner);
   return runner;
@@ -262,7 +258,6 @@ int cmd_random(const Flags& args) {
   auto bfn = make_bfn(subject, args);
   inject::RandomFiConfig config;
   config.injections = args.get("injections", std::size_t{1000});
-  config.mask_batch = args.get("mask-batch", config.mask_batch);
   config.seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{1}));
   const auto result =
       inject::run_random_fi(bfn, args.get("p", 1e-3), config);
@@ -490,8 +485,6 @@ void usage() {
       "          GEMM/conv kernels: flag or repair corrupted output rows)\n"
       "kernels:       --backend=scalar|avx2|auto (SIMD kernel backend;\n"
       "                 default: BDLFI_BACKEND env, else scalar)\n"
-      "               --mask-batch=K (fault variants fused per widened\n"
-      "                 forward; bit-identical to K=1, default 8)\n"
       "               --fuse / --no-fuse (eval-mode conv+BN folding inside\n"
       "                 residual blocks; off by default — fused rounding\n"
       "                 differs from the bit-exact unfused plan)\n"

@@ -9,10 +9,8 @@
 //                                   per-chain entries (status, sample arrays
 //                                   of equal length, cursor object or null)
 //   check_json --mask-eval f.json   BENCH_mask_eval.json: config + per-layer
-//                                   timings, the multi_mask batched-race
-//                                   section (groups, k_sweep, summary), the
-//                                   fused-eval race, and the truncated-replay
-//                                   summary
+//                                   timings, the fused-eval race, and the
+//                                   truncated-replay summary
 //   check_json --fleet-spec f.json  bdlfi fleet campaign spec: parsed and
 //                                   expanded with the same strict loader the
 //                                   fleet runner uses, so "spec validates"
@@ -233,7 +231,7 @@ bool require_numbers(const obs::JsonValue& obj,
 }
 
 /// Validates the perf_mask_eval bench document (DESIGN.md §6/§10): per-layer
-/// truncated-replay timings plus the batched multi-mask race section.
+/// truncated-replay timings, the fused-eval race and the summary.
 bool check_mask_eval(const obs::JsonValue& doc, std::string* error) {
   if (!doc.is_object()) {
     *error = "mask_eval root is not an object";
@@ -272,60 +270,6 @@ bool check_mask_eval(const obs::JsonValue& doc, std::string* error) {
       return false;
     }
     ++index;
-  }
-  const obs::JsonValue* mm = doc.find("multi_mask");
-  if (mm == nullptr || !mm->is_object()) {
-    *error = "missing multi_mask object";
-    return false;
-  }
-  if (!require_numbers(*mm, {"mask_batch_default"}, "multi_mask", error)) {
-    return false;
-  }
-  const obs::JsonValue* groups = mm->find("groups");
-  if (groups == nullptr || !groups->is_array() ||
-      groups->as_array().size() != layers->as_array().size()) {
-    *error = "multi_mask.groups must mirror the layers array";
-    return false;
-  }
-  index = 0;
-  for (const auto& group : groups->as_array()) {
-    const std::string at = "multi_mask.groups[" + std::to_string(index) + "]";
-    const obs::JsonValue* name = group.find("name");
-    if (name == nullptr || !name->is_string()) {
-      *error = at + ": bad or missing \"name\"";
-      return false;
-    }
-    if (!require_numbers(group,
-                         {"layer_index", "seq_s", "batched_s", "speedup"}, at,
-                         error)) {
-      return false;
-    }
-    ++index;
-  }
-  const obs::JsonValue* sweep = mm->find("k_sweep");
-  if (sweep == nullptr || !sweep->is_array() || sweep->as_array().empty()) {
-    *error = "missing/empty multi_mask.k_sweep array";
-    return false;
-  }
-  index = 0;
-  for (const auto& point : sweep->as_array()) {
-    const std::string at = "multi_mask.k_sweep[" + std::to_string(index) + "]";
-    if (!require_numbers(point, {"k", "batched_s", "speedup"}, at, error)) {
-      return false;
-    }
-    ++index;
-  }
-  const obs::JsonValue* mm_summary = mm->find("summary");
-  if (mm_summary == nullptr || !mm_summary->is_object() ||
-      !require_numbers(*mm_summary, {"overall_speedup"}, "multi_mask.summary",
-                       error)) {
-    if (error->empty()) *error = "missing multi_mask.summary object";
-    return false;
-  }
-  const obs::JsonValue* gate = mm_summary->find("gate_enforced");
-  if (gate == nullptr || !gate->is_bool()) {
-    *error = "multi_mask.summary: bad or missing \"gate_enforced\"";
-    return false;
   }
   const obs::JsonValue* fusion = doc.find("fusion");
   if (fusion == nullptr || !fusion->is_object() ||
