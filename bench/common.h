@@ -7,6 +7,7 @@
 // to run the full-scale configuration of the paper.
 #pragma once
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -31,7 +32,9 @@
 
 namespace bdlfi::bench {
 
-/// --key=value / --key value parser with typed getters.
+/// --key=value / --key value parser with typed getters. A numeric getter
+/// exits 2 (bad usage) on a value that is not a whole number of its type —
+/// trailing garbage, an empty value, or a negative count.
 class Flags {
  public:
   Flags(int argc, char** argv) {
@@ -51,29 +54,54 @@ class Flags {
   }
 
   double get(const std::string& key, double fallback) const {
-    for (const auto& [k, v] : kv_) {
-      if (k == key) return std::atof(v.c_str());
+    const std::string* v = find(key);
+    if (v == nullptr) return fallback;
+    char* end = nullptr;
+    errno = 0;
+    const double x = std::strtod(v->c_str(), &end);
+    if (end == v->c_str() || *end != '\0' || errno == ERANGE) {
+      bad_value(key, *v);
     }
-    return fallback;
+    return x;
   }
   std::int64_t get(const std::string& key, std::int64_t fallback) const {
-    for (const auto& [k, v] : kv_) {
-      if (k == key) return std::atoll(v.c_str());
-    }
-    return fallback;
+    const std::string* v = find(key);
+    return v == nullptr ? fallback : parse_int(key, *v);
   }
   std::size_t get(const std::string& key, std::size_t fallback) const {
-    return static_cast<std::size_t>(
-        get(key, static_cast<std::int64_t>(fallback)));
+    const std::string* v = find(key);
+    if (v == nullptr) return fallback;
+    const std::int64_t x = parse_int(key, *v);
+    if (x < 0) bad_value(key, *v);
+    return static_cast<std::size_t>(x);
   }
   std::string get(const std::string& key, const char* fallback) const {
-    for (const auto& [k, v] : kv_) {
-      if (k == key) return v;
-    }
-    return fallback;
+    const std::string* v = find(key);
+    return v == nullptr ? fallback : *v;
   }
 
  private:
+  const std::string* find(const std::string& key) const {
+    for (const auto& [k, v] : kv_) {
+      if (k == key) return &v;
+    }
+    return nullptr;
+  }
+  static std::int64_t parse_int(const std::string& key, const std::string& v) {
+    char* end = nullptr;
+    errno = 0;
+    const long long x = std::strtoll(v.c_str(), &end, 10);
+    if (end == v.c_str() || *end != '\0' || errno == ERANGE) {
+      bad_value(key, v);
+    }
+    return static_cast<std::int64_t>(x);
+  }
+  [[noreturn]] static void bad_value(const std::string& key,
+                                     const std::string& v) {
+    std::fprintf(stderr, "bad value for --%s: '%s'\n", key.c_str(), v.c_str());
+    std::exit(2);
+  }
+
   std::vector<std::pair<std::string, std::string>> kv_;
 };
 

@@ -21,11 +21,7 @@
 #include "bayes/fault_network.h"
 #include "common.h"
 #include "data/toy2d.h"
-#include "nn/batchnorm.h"
 #include "nn/builders.h"
-#include "nn/conv.h"
-#include "nn/layers.h"
-#include "nn/plan.h"
 #include "tensor/backend/backend.h"
 #include "tensor/ops.h"
 #include "util/rng.h"
@@ -190,87 +186,6 @@ std::vector<GemmRace> race_backends(bool smoke) {
   return races;
 }
 
-// ---------------------------------------------------------------------------
-// Fused conv+BN+ReLU race (DESIGN.md §13): the unfused eval-step sequence
-// exactly as the legacy layer-by-layer path executes it (allocating
-// conv.forward → bn.forward → in-place relu) against the planned fused step
-// exactly as ExecutionPlan runs it (per-execution BN refold + folded conv
-// forward_into a pre-sized buffer + in-place relu). The refold is charged to
-// the fused side — the plan refreshes folds from the live golden tensors on
-// every fused execution so weight-resident faults stay visible.
-
-struct FusionRace {
-  std::string backend;
-  std::size_t reps = 0;
-  double unfused_ms = 0.0;  // best-of-reps, conv.forward + bn.forward + relu
-  double fused_ms = 0.0;    // best-of-reps, refold + forward_into + relu
-  double speedup = 0.0;
-};
-
-FusionRace race_fusion(const std::string& backend_name, bool smoke) {
-  std::string error;
-  const bool ok = tensor::backend::set_active(backend_name, &error);
-  FusionRace race;
-  race.backend = backend_name;
-  if (!ok) return race;
-
-  util::Rng rng{10};
-  // The ResNet projection-conv shape (1x1 kernel): per output element the
-  // GEMM does only 2*C flops, so the BN normalization pass, the in-place
-  // relu fold, and the legacy path's per-call output/im2col allocations are
-  // a large fraction of the step — the case fusion exists for. (3x3 block
-  // convs fold too, but their GEMM dominates and the win shrinks toward 1x.)
-  const std::int64_t n = 8, c = 4, o = 8, hw = 32;
-  nn::Conv2d conv(c, o, 1, /*stride=*/1, /*pad=*/0, /*bias=*/true);
-  conv.init_he(rng);
-  nn::BatchNorm2d bn(o);
-  for (std::int64_t ch = 0; ch < o; ++ch) {
-    bn.gamma()[ch] = 0.75f + 0.05f * static_cast<float>(ch);
-    bn.beta()[ch] = 0.1f * static_cast<float>(ch % 3);
-    bn.running_mean()[ch] = 0.02f * static_cast<float>(ch);
-    bn.running_var()[ch] = 1.0f + 0.1f * static_cast<float>(ch);
-  }
-  tensor::Tensor x = tensor::Tensor::randn(tensor::Shape{n, c, hw, hw}, rng);
-
-  nn::Conv2d folded(c, o, 1, /*stride=*/1, /*pad=*/0, /*bias=*/true);
-  tensor::Tensor out{tensor::Shape{n, o, hw, hw}};
-  nn::Workspace ws;
-
-  race.reps = smoke ? std::size_t{5} : std::size_t{300};
-  // Warm both sides: page in kernels, grow the fused side's scratch.
-  nn::ReLU relu;
-  tensor::Tensor warm =
-      relu.forward(bn.forward(conv.forward(x, false), false), false);
-  nn::fold_conv_bn(conv.weight(), conv.bias(), bn, folded.weight(),
-                   folded.bias());
-  folded.forward_into(x, out, ws);
-
-  double best_unfused = 1e30, best_fused = 1e30;
-  for (std::size_t r = 0; r < race.reps; ++r) {
-    {
-      // The legacy Network path: each layer's forward() returns a fresh
-      // tensor (ReLU included — its value-copy materializes owned storage).
-      util::Stopwatch timer;
-      tensor::Tensor t = conv.forward(x, false);
-      t = bn.forward(t, false);
-      t = relu.forward(t, false);
-      best_unfused = std::min(best_unfused, timer.seconds());
-    }
-    {
-      util::Stopwatch timer;
-      nn::fold_conv_bn(conv.weight(), conv.bias(), bn, folded.weight(),
-                       folded.bias());
-      folded.forward_into(x, out, ws);
-      tensor::relu_inplace(out);
-      best_fused = std::min(best_fused, timer.seconds());
-    }
-  }
-  race.unfused_ms = best_unfused * 1e3;
-  race.fused_ms = best_fused * 1e3;
-  race.speedup = best_unfused / std::max(best_fused, 1e-12);
-  return race;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -308,38 +223,6 @@ int main(int argc, char** argv) {
                                     : "  [target >= 2x: FAIL]"));
   }
 
-  // Fused conv+BN+ReLU race per backend; the resolved backend is restored
-  // afterwards for the google-benchmark section.
-  std::vector<FusionRace> fusion_races;
-  fusion_races.push_back(race_fusion("scalar", smoke));
-  if (has_avx2) fusion_races.push_back(race_fusion("avx2", smoke));
-  bench::require_backend(tensor::backend::resolve(backend));
-
-  util::Table fusion_table(
-      {"backend", "reps", "unfused_ms", "fused_ms", "speedup"});
-  for (const auto& race : fusion_races) {
-    fusion_table.row()
-        .col(race.backend)
-        .col(race.reps)
-        .col(race.unfused_ms)
-        .col(race.fused_ms)
-        .col(race.speedup);
-  }
-  std::printf("=== perf: fused conv+BN+ReLU step vs unfused sequence ===\n\n");
-  bench::emit(fusion_table, "perf_kernels_fusion");
-
-  const double fusion_speedup_avx2 =
-      has_avx2 ? fusion_races.back().speedup : 0.0;
-  const bool fusion_gate = !smoke && has_avx2;
-  const bool fusion_met = !fusion_gate || fusion_speedup_avx2 >= 1.3;
-  if (has_avx2) {
-    std::printf("fused conv+BN+ReLU speedup (avx2): %.2fx%s\n",
-                fusion_speedup_avx2,
-                fusion_gate ? (fusion_met ? "  [target >= 1.3x: PASS]"
-                                          : "  [target >= 1.3x: FAIL]")
-                            : "  [smoke: target not checked]");
-  }
-
   obs::JsonWriter json;
   json.begin_object();
   json.key("config").begin_object();
@@ -360,24 +243,10 @@ int main(int argc, char** argv) {
     json.end_object();
   }
   json.end_array();
-  json.key("fusion").begin_array();
-  for (const auto& race : fusion_races) {
-    json.begin_object();
-    json.field("backend", race.backend);
-    json.field("reps", race.reps);
-    json.field("unfused_ms", race.unfused_ms);
-    json.field("fused_ms", race.fused_ms);
-    json.field("speedup", race.speedup);
-    json.end_object();
-  }
-  json.end_array();
   json.key("summary").begin_object();
   json.field("speedup_n256", has_avx2 ? final_race.speedup : 0.0);
   json.field("target_speedup", 2.0);
   json.field("target_met", target_met);
-  json.field("fusion_speedup_avx2", fusion_speedup_avx2);
-  json.field("fusion_target_speedup", 1.3);
-  json.field("fusion_target_met", fusion_met);
   json.end_object();
   json.end_object();
   if (!bench::emit_bench_json(json, "kernels")) return 1;
@@ -396,5 +265,5 @@ int main(int argc, char** argv) {
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
   }
-  return (!smoke && (!target_met || !fusion_met)) ? 1 : 0;
+  return (!smoke && !target_met) ? 1 : 0;
 }

@@ -3,8 +3,7 @@
 // with the golden-activation cache enabled vs. disabled, and the speedup is
 // reported per layer plus aggregated over the last third of the network —
 // where truncation replays the fewest layers and the win is largest
-// (speedup ~ depth / layers-remaining). A second race times full evals with
-// eval-mode fusion (--fuse) against the unfused default.
+// (speedup ~ depth / layers-remaining).
 //
 // Training is deliberately skipped: evaluation throughput is independent of
 // the weight values, and an untrained network keeps the bench about the
@@ -195,59 +194,6 @@ int main(int argc, char** argv) {
                                             : "  [target >= 3x: FAIL]")
                        : "  [target checked on scalar backend only]");
 
-  // Fused eval race: the same masks evaluated sequentially with eval-mode
-  // conv+BN+ReLU fusion off (the bit-exact default) vs on (--fuse). Both
-  // sides run full, non-truncated evals targeting the first parameterized
-  // layer so every variant traverses the whole network, fused blocks
-  // included. This quantifies what --fuse buys at the network level; the
-  // per-kernel >=1.3x AVX2 gate lives in perf_kernels.
-  const bayes::TargetSpec fusion_spec =
-      bayes::TargetSpec::single_layer(timings.front().layer_name);
-  bayes::EvalCacheConfig no_replay;
-  no_replay.enable_truncated_replay = false;
-  net.set_eval_fusion(false);
-  bayes::BayesianFaultNetwork seq_plain(net, fusion_spec,
-                                        fault::AvfProfile::uniform(),
-                                        eval.inputs, eval.labels, no_replay);
-  net.set_eval_fusion(true);
-  bayes::BayesianFaultNetwork seq_fused(net, fusion_spec,
-                                        fault::AvfProfile::uniform(),
-                                        eval.inputs, eval.labels, no_replay);
-  net.set_eval_fusion(false);
-
-  util::Rng fusion_rng{170};
-  std::vector<bayes::FaultMask> fusion_masks;
-  fusion_masks.reserve(masks);
-  for (std::size_t m = 0; m < masks; ++m) {
-    fusion_masks.push_back(seq_plain.sample_prior_mask(p, fusion_rng));
-  }
-  // Warm both plans, then interleave sides per mask (same drift-cancelling
-  // scheme as the truncated race above).
-  seq_plain.evaluate_mask(fusion_masks.front());
-  seq_fused.evaluate_mask(fusion_masks.front());
-  double seq_plain_s = 0.0, seq_fused_s = 0.0;
-  for (std::size_t r = 0; r < reps; ++r) {
-    for (std::size_t m = 0; m < fusion_masks.size(); ++m) {
-      for (int side = 0; side < 2; ++side) {
-        const bool run_plain = (side == 0) == (m % 2 == 0);
-        util::Stopwatch timer;
-        if (run_plain) {
-          seq_plain.evaluate_mask(fusion_masks[m]);
-          seq_plain_s += timer.seconds();
-        } else {
-          seq_fused.evaluate_mask(fusion_masks[m]);
-          seq_fused_s += timer.seconds();
-        }
-      }
-    }
-  }
-  const double fusion_evals = static_cast<double>(masks * reps);
-  const double fusion_speedup = seq_plain_s / std::max(seq_fused_s, 1e-9);
-  std::printf("fused eval speedup (--fuse vs default, full evals): %.2fx "
-              "(%.1f -> %.1f masks/s)\n",
-              fusion_speedup, fusion_evals / std::max(seq_plain_s, 1e-9),
-              fusion_evals / std::max(seq_fused_s, 1e-9));
-
   obs::JsonWriter json;
   json.begin_object();
   json.key("config").begin_object();
@@ -276,13 +222,6 @@ int main(int argc, char** argv) {
     json.end_object();
   }
   json.end_array();
-  json.key("fusion").begin_object();
-  json.field("masks_per_rep", masks);
-  json.field("reps", reps);
-  json.field("unfused_s", seq_plain_s);
-  json.field("fused_s", seq_fused_s);
-  json.field("speedup", fusion_speedup);
-  json.end_object();
   json.key("summary").begin_object();
   json.field("overall_speedup", overall);
   json.field("last_third_speedup", last_third);

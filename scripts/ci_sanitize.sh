@@ -52,11 +52,14 @@ for backend in scalar avx2; do
 done
 
 # Targeted eval-path pass: every mask evaluation runs on an ExecutionPlan
-# compiled from whichever layer the eval enters at, so plan offsets are
-# relative to that entry layer — offset arithmetic over one flat arena. The
-# plan suite, the truncated-replay parity suite, the MCMC chains (replicas
-# compiling their own plans) and the mask-eval bench smoke get an explicit
-# sanitized run per backend.
+# compiled from whichever layer the eval enters at, so plan slots are
+# relative to that entry layer — borrowed views into one flat arena that
+# outlive individual forwards — and BasicBlock::forward_into stages its
+# inner activation and projection shortcut as views into the plan's
+# workspace. The plan suite (arena sizing, steady-state reuse, planned vs
+# layer-by-layer parity, checked runs included), the truncated-replay parity
+# suite, the MCMC chains (replicas compiling their own plans) and the
+# mask-eval bench smoke get an explicit sanitized run per backend.
 for backend in scalar avx2; do
   if [ "$backend" = avx2 ] && ! grep -q avx2 /proc/cpuinfo 2>/dev/null; then
     continue
@@ -64,22 +67,6 @@ for backend in scalar avx2; do
   echo "=== eval-path suite under BDLFI_BACKEND=$backend ==="
   BDLFI_BACKEND="$backend" ctest --test-dir "$BUILD_DIR" \
     --output-on-failure -R 'PlanTest|Replay|McmcTest|perf_mask_eval'
-done
-
-# Targeted planned-execution / fusion pass: the execution plan's arena is a
-# single flat allocation carved into reused buffer views (offset arithmetic,
-# borrowed tensors outliving individual forwards), and eval fusion rewrites
-# conv weights in place from folded BN stats — both textbook sanitizer
-# territory. The plan suite covers arena sizing/steady-state reuse, planned
-# vs legacy parity, and fold correctness; the kernels bench smoke drives the
-# fused conv+BN+ReLU race end to end.
-for backend in scalar avx2; do
-  if [ "$backend" = avx2 ] && ! grep -q avx2 /proc/cpuinfo 2>/dev/null; then
-    continue
-  fi
-  echo "=== planned-execution / fusion suite under BDLFI_BACKEND=$backend ==="
-  BDLFI_BACKEND="$backend" ctest --test-dir "$BUILD_DIR" \
-    --output-on-failure -R 'PlanTest|perf_kernels_smoke'
 done
 
 # Targeted flight-recorder pass: the incremental JSONL reader (per-poll

@@ -31,11 +31,6 @@ class BatchNorm2d : public Layer {
   std::int64_t channels() const { return channels_; }
   Tensor& running_mean() { return running_mean_; }
   Tensor& running_var() { return running_var_; }
-  // Affine parameters and epsilon, exposed for eval-mode BN folding (the
-  // ExecutionPlan folds scale/shift into the preceding conv's weights).
-  Tensor& gamma() { return gamma_; }
-  Tensor& beta() { return beta_; }
-  float eps() const { return eps_; }
 
  private:
   std::int64_t channels_;

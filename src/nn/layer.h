@@ -50,11 +50,15 @@ struct ParamRef {
   Tensor* grad = nullptr;
 };
 
-/// Per-execution scratch passed through planned forwards (full definition in
-/// nn/plan.h). Built-in layers keep their scratch thread-local or in the
-/// plan's arena; the workspace exists so custom layers can stage without
-/// allocating per eval.
-struct Workspace;
+/// Per-execution scratch passed through planned forwards, owned by the plan
+/// and grow-once: a layer stages temporaries in `scratch` instead of
+/// allocating per eval (BasicBlock keeps its inner activation and projection
+/// shortcut there; Conv2d and BatchNorm2d ignore it). One rule keeps the
+/// views valid: a layer resizes `scratch` only before taking views into it,
+/// and the sub-layers it calls do not resize it.
+struct Workspace {
+  std::vector<float> scratch;
+};
 
 class Layer {
  public:

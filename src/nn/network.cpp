@@ -65,7 +65,7 @@ const Tensor* Network::planned_forward(std::size_t first_layer,
   }
   for (auto& plan : plans_) {
     if (plan->covers(first_layer, act.shape())) {
-      return &plan->run(*this, first_layer, act, hook, fuse_);
+      return &plan->run(*this, first_layer, act, hook);
     }
   }
   // Compile from the entry layer, so a replica whose first evals resume
@@ -79,7 +79,7 @@ const Tensor* Network::planned_forward(std::size_t first_layer,
   constexpr std::size_t kMaxPlans = 4;
   if (plans_.size() >= kMaxPlans) plans_.erase(plans_.begin());
   plans_.push_back(std::move(plan));
-  return &plans_.back()->run(*this, first_layer, act, hook, fuse_);
+  return &plans_.back()->run(*this, first_layer, act, hook);
 }
 
 const ExecutionPlan* Network::plan_for(const Shape& shape) const {
@@ -195,12 +195,11 @@ Network Network::clone() const {
   }
   // ABFT is a deployment property of the network, so replicas keep it; the
   // counters and any installed compute-fault plan are per-instance state and
-  // start fresh (stats at zero, no plan). Eval fusion is a deployment
-  // property too, but compiled ExecutionPlans are not copied: each replica
-  // compiles its own and therefore owns an independent arena.
+  // start fresh (stats at zero, no plan). Compiled ExecutionPlans are not
+  // copied: each replica compiles its own and therefore owns an independent
+  // arena.
   copy.abft_ = abft_;
   copy.abft_layers_ = abft_layers_;
-  copy.fuse_ = fuse_;
   return copy;
 }
 

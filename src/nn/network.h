@@ -72,22 +72,13 @@ class Network {
   /// performs zero heap allocations.
   ///
   /// Eval forwards run on an ExecutionPlan (DESIGN.md §13), compiled on first
-  /// use from the layer the call enters at — pre-sized arena buffers, no
-  /// per-eval allocations, bit-exact with the layer-by-layer forward when
-  /// fusion is off. Training forwards and networks with a layer whose
-  /// plan_eval_safe() is false (MC dropout, calibrating range guards) run
-  /// layer by layer instead.
+  /// use from the layer the call enters at: one Layer::forward_into per
+  /// top-level layer over pre-sized arena slots, no per-eval allocations,
+  /// bit-exact with the layer-by-layer forward. Training forwards and
+  /// networks with a layer whose plan_eval_safe() is false (MC dropout,
+  /// calibrating range guards) run layer by layer instead.
   const Tensor& forward_view(std::size_t first_layer, const Tensor& act,
                              const ActivationHook& hook = nullptr);
-
-  /// Eval-mode fusion (default off; the --no-fuse escape hatch maps to
-  /// set_eval_fusion(false)). Folds BN into conv weights inside residual
-  /// blocks and elides dense+relu pairs. BN folding changes rounding relative
-  /// to the unfused path (documented tolerance in DESIGN.md §13); dense+relu
-  /// elision is bit-exact. A deployment property: clone() copies it. Ignored
-  /// for checked (ABFT/compute-fault) forwards.
-  void set_eval_fusion(bool on) { fuse_ = on; }
-  bool eval_fusion() const { return fuse_; }
 
   /// The plan that covers an eval forward starting at layer 0 with input
   /// shape `shape`, or nullptr if none has been compiled yet. Test/telemetry
@@ -186,7 +177,6 @@ class Network {
   // plan covers; bounded, oldest evicted. Per-instance — clones compile their
   // own plans and therefore own independent arenas.
   std::vector<std::unique_ptr<ExecutionPlan>> plans_;
-  bool fuse_ = false;
   Tensor fallback_logits_;  // forward_view storage on the legacy path
 };
 

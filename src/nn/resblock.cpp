@@ -24,20 +24,24 @@ void BasicBlock::init_he(util::Rng& rng) {
   if (proj_conv_) proj_conv_->init_he(rng);
 }
 
-Tensor BasicBlock::forward(const Tensor& x, bool training) {
+void BasicBlock::set_inner_context(tensor::abft::OpContext* inner) {
   // The inner convs inherit the ABFT deployment (checksum coverage and its
   // counters) but not the flip list: compute-fault sites address top-level
   // layer outputs, and the block's output geometry is not its convs'.
-  tensor::abft::OpContext inner;
   const tensor::abft::OpContext* sub = nullptr;
-  if (compute_ctx_ != nullptr) {
-    inner = *compute_ctx_;
-    inner.flips = nullptr;
-    sub = &inner;
+  if (inner != nullptr && compute_ctx_ != nullptr) {
+    *inner = *compute_ctx_;
+    inner->flips = nullptr;
+    sub = inner;
   }
   conv1_->set_compute_context(sub);
   conv2_->set_compute_context(sub);
   if (proj_conv_) proj_conv_->set_compute_context(sub);
+}
+
+Tensor BasicBlock::forward(const Tensor& x, bool training) {
+  tensor::abft::OpContext inner;
+  set_inner_context(&inner);
 
   Tensor mid = bn1_->forward(conv1_->forward(x, training), training);
   if (training) cached_mid_pre_ = mid;
@@ -51,10 +55,42 @@ Tensor BasicBlock::forward(const Tensor& x, bool training) {
   if (training) cached_sum_pre_ = out;
   tensor::relu_inplace(out);
 
-  conv1_->set_compute_context(nullptr);
-  conv2_->set_compute_context(nullptr);
-  if (proj_conv_) proj_conv_->set_compute_context(nullptr);
+  set_inner_context(nullptr);
   return out;
+}
+
+void BasicBlock::forward_into(const Tensor& in, Tensor& out, Workspace& ws) {
+  BDLFI_CHECK(in.shape().rank() == 4);
+  const Shape mid_shape{in.shape()[0], conv1_->out_channels(),
+                        conv1_->spec().out_h(in.shape()[2]),
+                        conv1_->spec().out_w(in.shape()[3])};
+  const auto mid_n = static_cast<std::size_t>(mid_shape.numel());
+  const std::size_t need =
+      mid_n + (proj_conv_ ? static_cast<std::size_t>(out.numel()) : 0);
+  // Grow-once, and only here: the views below outlive the sub-layer calls.
+  if (ws.scratch.size() < need) ws.scratch.resize(need);
+  Tensor mid = Tensor::view(mid_shape, ws.scratch.data());
+
+  tensor::abft::OpContext inner;
+  set_inner_context(&inner);
+
+  // forward()'s eval sequence, kernel for kernel: bit-exact with it.
+  conv1_->forward_into(in, mid, ws);
+  bn1_->forward_into(mid, mid, ws);
+  tensor::relu_inplace(mid);
+  conv2_->forward_into(mid, out, ws);
+  bn2_->forward_into(out, out, ws);
+  if (proj_conv_) {
+    Tensor shortcut = Tensor::view(out.shape(), ws.scratch.data() + mid_n);
+    proj_conv_->forward_into(in, shortcut, ws);
+    proj_bn_->forward_into(shortcut, shortcut, ws);
+    tensor::add_inplace(out, shortcut);
+  } else {
+    tensor::add_inplace(out, in);
+  }
+  tensor::relu_inplace(out);
+
+  set_inner_context(nullptr);
 }
 
 Tensor BasicBlock::backward(const Tensor& grad_output) {

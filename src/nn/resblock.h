@@ -20,6 +20,10 @@ class BasicBlock : public Layer {
 
   std::string kind() const override { return "block"; }
   Tensor forward(const Tensor& x, bool training) override;
+  /// Same sequence as forward()'s eval mode through the sub-layers'
+  /// forward_into; the inner activation and the projection shortcut are
+  /// views into `ws.scratch`.
+  void forward_into(const Tensor& in, Tensor& out, Workspace& ws) override;
   Tensor backward(const Tensor& grad_output) override;
   void collect_params(const std::string& prefix,
                       std::vector<ParamRef>& out) override;
@@ -42,6 +46,10 @@ class BasicBlock : public Layer {
   BatchNorm2d* proj_bn() { return proj_bn_.get(); }
 
  private:
+  /// Hands the inner convs this block's context minus its flip list, staged
+  /// in `inner`; nullptr clears them.
+  void set_inner_context(tensor::abft::OpContext* inner);
+
   std::unique_ptr<Conv2d> conv1_;
   std::unique_ptr<BatchNorm2d> bn1_;
   std::unique_ptr<Conv2d> conv2_;

@@ -7,20 +7,16 @@
 //   * steady-state mask evals allocate nothing large, including on a fresh
 //     replica whose evals all resume mid-network;
 //   * cloned networks compile independent plans with independent arenas;
-//   * unfused planned execution is bit-exact with Layer::forward run layer
-//     by layer (full forwards and truncated replays from every resume point,
-//     on a layer-0 plan and on a plan compiled from that resume point),
-//     which is exactly the --no-fuse guarantee;
-//   * BN-folded fused execution matches unfused within the documented
-//     tolerance, and fold_conv_bn itself matches conv→bn→relu;
-//   * fault-site enumeration (names, offsets, owning layers) is identical
-//     with fusion on and off — fusion never renames or reorders sites;
+//   * planned execution is bit-exact with Layer::forward run layer by layer
+//     (full forwards and truncated replays from every resume point, on a
+//     layer-0 plan and on a plan compiled from that resume point), unchecked
+//     and under checked deployments (ABFT detect/correct, compute faults),
+//     with identical ABFT counters;
 //   * evaluate(EvalRequest) stays bit-exact with per-mask evaluate_mask on
 //     the planned path for K ∈ {1, 8, 32}.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -30,14 +26,10 @@
 #include "bayes/fault_network.h"
 #include "data/cifar_like.h"
 #include "data/toy2d.h"
-#include "fault/space.h"
 #include "nn/arena.h"
-#include "nn/batchnorm.h"
 #include "nn/builders.h"
-#include "nn/conv.h"
 #include "nn/network.h"
 #include "nn/plan.h"
-#include "tensor/ops.h"
 #include "util/rng.h"
 
 // ---------------------------------------------------------------------------
@@ -142,10 +134,9 @@ TEST(PlanTest, CompilesOnFirstEvalForwardAndCovers) {
   ASSERT_NE(plan, nullptr);
   EXPECT_TRUE(plan->covers(0, s.inputs.shape()));
   EXPECT_GT(plan->arena_floats(), 0u);
-  // The rotating-buffer assignment never needs more than the four slots the
-  // compiler hands out (main ping-pong + block temporaries).
-  EXPECT_LE(plan->num_buffers(), 4u);
-  EXPECT_TRUE(plan->fusion_compiled());  // resnet has foldable blocks
+  // Activations ping-pong between two slots; block temporaries live in the
+  // plan's workspace, not the arena.
+  EXPECT_EQ(plan->num_buffers(), 2u);
 }
 
 TEST(PlanTest, ArenaSizedAtHighWaterAndNeverRegrown) {
@@ -239,17 +230,68 @@ TEST(PlanTest, ClonedNetworksOwnIndependentPlansAndArenas) {
   expect_bitwise_equal(via_a, kept);
 }
 
-TEST(PlanTest, PlannedUnfusedIsBitExactWithLegacy) {
-  const auto check = [](Subject s) {
-    // Reference: Layer::forward run layer by layer, no plan involved.
-    std::vector<Tensor> acts;  // acts[i] = output of layer i
-    Tensor act = s.inputs;
-    for (std::size_t i = 0; i < s.net.num_layers(); ++i) {
-      act = s.net.layer(i).forward(act, /*training=*/false);
-      acts.push_back(act);
+// A checked deployment of a subject network: ABFT mode plus the transient
+// compute faults installed for the forward.
+struct Deployment {
+  tensor::abft::Mode mode = tensor::abft::Mode::kOff;
+  const nn::ComputeFaultPlan* faults = nullptr;
+
+  bool checked() const {
+    return mode != tensor::abft::Mode::kOff ||
+           (faults != nullptr && !faults->empty());
+  }
+  void install(nn::Network& net) const {
+    net.set_abft({mode, 4.0});
+    net.set_compute_fault_plan(faults);
+  }
+};
+
+// Reference: Layer::forward run layer by layer from `first`, no plan
+// involved. A checked deployment installs on each layer the context the
+// network would: its ABFT config, `stats`, and that layer's flips. Appends
+// every layer's output to `acts` when given.
+Tensor reference_forward(nn::Network& net, std::size_t first, Tensor act,
+                         const Deployment& d, tensor::abft::Stats& stats,
+                         std::vector<Tensor>* acts = nullptr) {
+  for (std::size_t i = first; i < net.num_layers(); ++i) {
+    nn::Layer& layer = net.layer(i);
+    if (d.checked()) {
+      tensor::abft::OpContext ctx;
+      ctx.config = {d.mode, 4.0};
+      ctx.stats = &stats;
+      if (d.faults != nullptr) {
+        const auto it = d.faults->find(i);
+        if (it != d.faults->end()) ctx.flips = &it->second;
+      }
+      layer.set_compute_context(&ctx);
+      act = layer.forward(act, /*training=*/false);
+      layer.set_compute_context(nullptr);
+    } else {
+      act = layer.forward(act, /*training=*/false);
     }
-    EXPECT_FALSE(s.net.eval_fusion());  // --no-fuse semantics by default
-    expect_bitwise_equal(acts.back(), s.net.forward(s.inputs));
+    if (acts != nullptr) acts->push_back(act);
+  }
+  return act;
+}
+
+void expect_stats_equal(const tensor::abft::Stats& want,
+                        const tensor::abft::Stats& got) {
+  EXPECT_EQ(want.checks.load(), got.checks.load());
+  EXPECT_EQ(want.rows_checked.load(), got.rows_checked.load());
+  EXPECT_EQ(want.detected_rows.load(), got.detected_rows.load());
+  EXPECT_EQ(want.corrected_rows.load(), got.corrected_rows.load());
+  EXPECT_EQ(want.faults_injected.load(), got.faults_injected.load());
+}
+
+TEST(PlanTest, PlannedUnfusedIsBitExactWithLegacy) {
+  const auto check = [](Subject s, const Deployment& d) {
+    d.install(s.net);
+    tensor::abft::Stats want;
+    std::vector<Tensor> acts;  // acts[i] = output of layer i
+    const Tensor logits = reference_forward(s.net, 0, s.inputs, d, want, &acts);
+    s.net.abft_stats().reset();
+    expect_bitwise_equal(logits, s.net.forward(s.inputs));
+    expect_stats_equal(want, s.net.abft_stats());
 
     // Truncated replays enter mid-network; parity must hold for every resume
     // point, since the mask-evaluation pipeline rests on it. The network
@@ -257,89 +299,33 @@ TEST(PlanTest, PlannedUnfusedIsBitExactWithLegacy) {
     // compiles its plan from k.
     for (std::size_t k = 1; k < acts.size(); ++k) {
       SCOPED_TRACE("resume at layer " + std::to_string(k));
-      expect_bitwise_equal(acts.back(), s.net.forward_view(k, acts[k - 1]));
+      tensor::abft::Stats suffix;
+      (void)reference_forward(s.net, k, acts[k - 1], d, suffix);
+      s.net.abft_stats().reset();
+      expect_bitwise_equal(logits, s.net.forward_view(k, acts[k - 1]));
+      expect_stats_equal(suffix, s.net.abft_stats());
       nn::Network fresh = s.net.clone();
-      expect_bitwise_equal(acts.back(), fresh.forward_view(k, acts[k - 1]));
+      fresh.set_compute_fault_plan(d.faults);
+      expect_bitwise_equal(logits, fresh.forward_view(k, acts[k - 1]));
+      expect_stats_equal(suffix, fresh.abft_stats());
     }
   };
-  check(make_mlp_subject());
-  check(make_resnet_subject());
-}
+  check(make_mlp_subject(), {});
+  check(make_resnet_subject(), {});
 
-TEST(PlanTest, FusedExecutionMatchesUnfusedWithinTolerance) {
-  Subject s = make_resnet_subject();
-  Tensor unfused = s.net.forward(s.inputs);
-  s.net.set_eval_fusion(true);
-  Tensor fused = s.net.forward(s.inputs);
-  ASSERT_EQ(unfused.shape(), fused.shape());
-  for (std::int64_t i = 0; i < unfused.numel(); ++i) {
-    const float a = unfused[i], b = fused[i];
-    EXPECT_NEAR(a, b, 1e-4f * (1.0f + std::abs(a)))
-        << "logit " << i << " diverged beyond the BN-fold tolerance";
+  // Checked runs on the ResNet: every block's inner convs get the
+  // flip-stripped context, the stem conv and the head take flips.
+  nn::ComputeFaultPlan faults;
+  faults[0] = {{37, 30}, {1500, 27}};  // stem_conv
+  faults[12] = {{3, 26}, {17, 31}};    // fc
+  for (const tensor::abft::Mode mode :
+       {tensor::abft::Mode::kDetect, tensor::abft::Mode::kCorrect}) {
+    SCOPED_TRACE(std::string("abft ") + tensor::abft::mode_name(mode));
+    check(make_resnet_subject(), {mode, nullptr});
+    check(make_resnet_subject(), {mode, &faults});
   }
-  // Escape hatch: turning fusion back off restores bit-exactness without a
-  // recompile (the unfused lowering is always retained in the plan).
-  s.net.set_eval_fusion(false);
-  expect_bitwise_equal(s.net.forward(s.inputs), unfused);
-}
-
-TEST(PlanTest, FoldConvBnMatchesConvThenBn) {
-  util::Rng rng{406};
-  nn::Conv2d conv(3, 5, 3, /*stride=*/1, /*pad=*/1, /*bias=*/true);
-  conv.init_he(rng);
-  for (std::int64_t c = 0; c < 5; ++c) {
-    conv.bias()[c] = 0.02f * static_cast<float>(c) - 0.03f;
-  }
-  nn::BatchNorm2d bn(5);
-  for (std::int64_t c = 0; c < 5; ++c) {
-    bn.gamma()[c] = 0.5f + 0.1f * static_cast<float>(c);
-    bn.beta()[c] = -0.2f + 0.05f * static_cast<float>(c);
-    bn.running_mean()[c] = 0.01f * static_cast<float>(c);
-    bn.running_var()[c] = 1.0f + 0.2f * static_cast<float>(c);
-  }
-  Tensor x{Shape{2, 3, 6, 6}};
-  for (std::int64_t i = 0; i < x.numel(); ++i) {
-    x[i] = static_cast<float>(rng.uniform() - 0.5);
-  }
-
-  Tensor want = bn.forward(conv.forward(x, false), false);
-
-  Tensor wf{conv.weight().shape()};
-  Tensor bf{Shape{5}};
-  nn::fold_conv_bn(conv.weight(), conv.bias(), bn, wf, bf);
-  nn::Conv2d folded(3, 5, 3, /*stride=*/1, /*pad=*/1, /*bias=*/true);
-  folded.weight() = wf;
-  folded.bias() = bf;
-  Tensor got = folded.forward(x, false);
-
-  ASSERT_EQ(want.shape(), got.shape());
-  for (std::int64_t i = 0; i < want.numel(); ++i) {
-    EXPECT_NEAR(want[i], got[i], 1e-5f * (1.0f + std::abs(want[i])));
-  }
-}
-
-TEST(PlanTest, FaultSiteEnumerationIsStableAcrossFusion) {
-  Subject s = make_resnet_subject();
-  nn::Network fused_net = s.net.clone();
-  fused_net.set_eval_fusion(true);
-  (void)fused_net.forward_view(0, s.inputs);  // compile the fused plan
-
-  fault::TargetSpec spec = fault::TargetSpec::all_parameters();
-  spec.include_buffers = true;
-  fault::InjectionSpace unfused_space(s.net, spec);
-  fault::InjectionSpace fused_space(fused_net, spec);
-
-  const auto& a = unfused_space.entries();
-  const auto& b = fused_space.entries();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].name, b[i].name);
-    EXPECT_EQ(a[i].offset, b[i].offset);
-    EXPECT_EQ(a[i].layer, b[i].layer);
-    EXPECT_EQ(a[i].numel, b[i].numel);
-    EXPECT_EQ(static_cast<int>(a[i].role), static_cast<int>(b[i].role));
-  }
-  EXPECT_EQ(unfused_space.total_elements(), fused_space.total_elements());
+  SCOPED_TRACE("compute faults, abft off");
+  check(make_resnet_subject(), {tensor::abft::Mode::kOff, &faults});
 }
 
 TEST(PlanTest, EvaluateMasksBitExactOnPlannedPath) {

@@ -1,8 +1,8 @@
 // Tests for the campaign flight-recorder read side: the crash-tolerant
 // incremental JSONL reader (obs/stream.h), the multi-stream EventAggregator
 // (obs/aggregate.h), histogram quantile export, the reporter's
-// campaign_id/seq envelope, and the bench-history regression tracker
-// (bench/history.h).
+// campaign_id/seq envelope, the bench-history regression tracker
+// (bench/history.h), and the shared bench/CLI flag parser (bench/common.h).
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/common.h"
 #include "bench/history.h"
 #include "obs/aggregate.h"
 #include "obs/json.h"
@@ -554,6 +555,39 @@ TEST(BenchHistory, AppendLoadRoundTripSkipsTornTail) {
   EXPECT_TRUE(loaded[0].smoke);
   EXPECT_EQ(loaded[0].ts_ms, 42u);
   std::filesystem::remove(path);
+}
+
+Flags flags_of(std::string arg) {
+  std::string program = "bench";
+  char* argv[] = {program.data(), arg.data()};
+  return Flags(2, argv);
+}
+
+TEST(BenchFlags, ParsesWellFormedNumbers) {
+  EXPECT_DOUBLE_EQ(flags_of("--p=1e-4").get("p", 0.5), 1e-4);
+  EXPECT_EQ(flags_of("--seed=-3").get("seed", std::int64_t{1}), -3);
+  EXPECT_EQ(flags_of("--chains=6").get("chains", std::size_t{4}), 6u);
+  EXPECT_EQ(flags_of("--smoke").get("smoke", std::int64_t{0}), 1);
+  EXPECT_EQ(flags_of("--other=x").get("chains", std::size_t{4}), 4u);
+}
+
+// A negative count would wrap to ~2^64 and garbage would read as 0, so both
+// exit with the bad-usage code and name the flag.
+TEST(BenchFlags, RejectsGarbageAndNegativeCountsWithUsageExit) {
+  EXPECT_EXIT(
+      (void)flags_of("--injections=-1").get("injections", std::size_t{100}),
+      ::testing::ExitedWithCode(2), "bad value for --injections: '-1'");
+  EXPECT_EXIT((void)flags_of("--chains=-2").get("chains", std::size_t{4}),
+              ::testing::ExitedWithCode(2), "bad value for --chains: '-2'");
+  EXPECT_EXIT(
+      (void)flags_of("--injections=abc").get("injections", std::size_t{100}),
+      ::testing::ExitedWithCode(2), "bad value for --injections: 'abc'");
+  EXPECT_EXIT((void)flags_of("--seed=12x").get("seed", std::int64_t{1}),
+              ::testing::ExitedWithCode(2), "bad value for --seed: '12x'");
+  EXPECT_EXIT((void)flags_of("--p=").get("p", 1e-3),
+              ::testing::ExitedWithCode(2), "bad value for --p: ''");
+  EXPECT_EXIT((void)flags_of("--p=1e-3q").get("p", 1e-3),
+              ::testing::ExitedWithCode(2), "bad value for --p: '1e-3q'");
 }
 
 }  // namespace

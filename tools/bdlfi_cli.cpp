@@ -135,14 +135,6 @@ bayes::BayesianFaultNetwork make_bfn(Subject& subject, const Flags& args) {
     std::exit(2);
   }
   subject.net.set_abft(abft);
-  // Eval-mode conv+BN fusion (--fuse) folds BatchNorm into the adjacent conv
-  // inside residual blocks for throughput. Fused arithmetic rounds
-  // differently from the unfused plan (within the documented tolerance;
-  // DESIGN.md §13), so it is opt-in and --no-fuse always wins — the default
-  // stays bit-exact with the sequential reference. Set before the
-  // BayesianFaultNetwork clones so every chain replica inherits it.
-  subject.net.set_eval_fusion(args.get("fuse", std::int64_t{0}) != 0 &&
-                              args.get("no-fuse", std::int64_t{0}) == 0);
   bayes::TargetSpec spec = bayes::TargetSpec::all_parameters();
   const std::string target = args.get("target", "params");
   if (target == "compute") {
@@ -485,9 +477,6 @@ void usage() {
       "          GEMM/conv kernels: flag or repair corrupted output rows)\n"
       "kernels:       --backend=scalar|avx2|auto (SIMD kernel backend;\n"
       "                 default: BDLFI_BACKEND env, else scalar)\n"
-      "               --fuse / --no-fuse (eval-mode conv+BN folding inside\n"
-      "                 residual blocks; off by default — fused rounding\n"
-      "                 differs from the bit-exact unfused plan)\n"
       "observability: --progress (live per-round health on stderr, with\n"
       "                 EWMA evals/sec and wall-clock ETA)\n"
       "               --metrics=<file.jsonl> (machine-readable event stream;\n"

@@ -9,8 +9,7 @@
 //                                   per-chain entries (status, sample arrays
 //                                   of equal length, cursor object or null)
 //   check_json --mask-eval f.json   BENCH_mask_eval.json: config + per-layer
-//                                   timings, the fused-eval race, and the
-//                                   truncated-replay summary
+//                                   timings and the truncated-replay summary
 //   check_json --fleet-spec f.json  bdlfi fleet campaign spec: parsed and
 //                                   expanded with the same strict loader the
 //                                   fleet runner uses, so "spec validates"
@@ -231,7 +230,7 @@ bool require_numbers(const obs::JsonValue& obj,
 }
 
 /// Validates the perf_mask_eval bench document (DESIGN.md §6/§10): per-layer
-/// truncated-replay timings, the fused-eval race and the summary.
+/// truncated-replay timings and the summary.
 bool check_mask_eval(const obs::JsonValue& doc, std::string* error) {
   if (!doc.is_object()) {
     *error = "mask_eval root is not an object";
@@ -270,15 +269,6 @@ bool check_mask_eval(const obs::JsonValue& doc, std::string* error) {
       return false;
     }
     ++index;
-  }
-  const obs::JsonValue* fusion = doc.find("fusion");
-  if (fusion == nullptr || !fusion->is_object() ||
-      !require_numbers(*fusion,
-                       {"masks_per_rep", "reps", "unfused_s", "fused_s",
-                        "speedup"},
-                       "fusion", error)) {
-    if (error->empty()) *error = "missing fusion object";
-    return false;
   }
   const obs::JsonValue* summary = doc.find("summary");
   if (summary == nullptr || !summary->is_object() ||
