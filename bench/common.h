@@ -279,7 +279,8 @@ struct MlpSetup {
 /// problem (2-16-32-2, matching the 32-neuron layer the figure draws).
 inline MlpSetup make_trained_moons_mlp(const Flags& flags) {
   util::Stopwatch timer;
-  util::Rng data_rng{flags.get("data-seed", std::int64_t{11})};
+  util::Rng data_rng{static_cast<std::uint64_t>(
+      flags.get("data-seed", std::int64_t{11}))};
   data::Dataset all = data::make_two_moons(
       flags.get("moons", std::size_t{800}), 0.08, data_rng);
   data::Split split = data::split_dataset(all, 0.75, data_rng);

@@ -51,14 +51,17 @@ for backend in scalar avx2; do
     --output-on-failure -R 'abft|tab_protection_smoke|perf_abft_smoke'
 done
 
-# Targeted eval-path pass: every mask evaluation runs on an ExecutionPlan
-# compiled from whichever layer the eval enters at, so plan slots are
-# relative to that entry layer — borrowed views into one flat arena that
-# outlive individual forwards — and BasicBlock::forward_into stages its
-# inner activation and projection shortcut as views into the plan's
-# workspace. The plan suite (arena sizing, steady-state reuse, planned vs
-# layer-by-layer parity, checked runs included), the truncated-replay parity
-# suite, the MCMC chains (replicas compiling their own plans) and the
+# Targeted eval-path pass: every eval forward runs on an ExecutionPlan
+# compiled from whichever layer the eval enters at and sized from each
+# layer's output_shape, so plan slots are relative to that entry layer —
+# borrowed views into one flat arena that outlive individual forwards — and
+# a basic block (float or quantized) stages its inner activation and
+# projection shortcut as views into the plan's workspace. MC dropout draws
+# its masks and a calibrating range guard records its range inside those
+# slots too. The plan suite (arena sizing, steady-state reuse, planned vs
+# layer-by-layer parity, checked runs and stateful layers included), the
+# truncated-replay parity suite, the MCMC chains (replicas compiling their
+# own plans), the dropout, range-guard and quantized-layer suites and the
 # mask-eval bench smoke get an explicit sanitized run per backend.
 for backend in scalar avx2; do
   if [ "$backend" = avx2 ] && ! grep -q avx2 /proc/cpuinfo 2>/dev/null; then
@@ -66,7 +69,8 @@ for backend in scalar avx2; do
   fi
   echo "=== eval-path suite under BDLFI_BACKEND=$backend ==="
   BDLFI_BACKEND="$backend" ctest --test-dir "$BUILD_DIR" \
-    --output-on-failure -R 'PlanTest|Replay|McmcTest|perf_mask_eval'
+    --output-on-failure \
+    -R 'PlanTest|Replay|McmcTest|perf_mask_eval|Dropout|RangeGuard|GuardedNetwork|Quantize|QuantDense|QuantSpace|QuantFault'
 done
 
 # Targeted flight-recorder pass: the incremental JSONL reader (per-poll

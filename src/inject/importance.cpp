@@ -19,7 +19,6 @@ ImportanceFiResult run_importance_fi(const bayes::BayesianFaultNetwork& golden,
 
   auto replica = golden.replicate();
   const fault::AvfProfile& profile = replica->profile();
-  const fault::InjectionSpace& space = replica->space();
   util::Rng rng{config.seed};
 
   // Per-bit-position log weight contribution of one flipped bit:

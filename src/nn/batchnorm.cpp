@@ -19,27 +19,12 @@ BatchNorm2d::BatchNorm2d(std::int64_t channels, float eps, float momentum)
   BDLFI_CHECK(channels > 0);
 }
 
-Tensor BatchNorm2d::forward(const Tensor& x, bool training) {
+Tensor BatchNorm2d::forward_train(const Tensor& x) {
   BDLFI_CHECK(x.shape().rank() == 4 && x.shape()[1] == channels_);
   const std::int64_t n = x.shape()[0], c = x.shape()[1], h = x.shape()[2],
                      w = x.shape()[3];
   const std::int64_t per_channel = n * h * w;
   Tensor y{x.shape()};
-
-  if (!training) {
-    for (std::int64_t ch = 0; ch < c; ++ch) {
-      const float inv_std =
-          1.0f / std::sqrt(running_var_[ch] + eps_);
-      const float scale = gamma_[ch] * inv_std;
-      const float shift = beta_[ch] - running_mean_[ch] * scale;
-      for (std::int64_t s = 0; s < n; ++s) {
-        const float* in = x.data() + (s * c + ch) * h * w;
-        float* out = y.data() + (s * c + ch) * h * w;
-        for (std::int64_t i = 0; i < h * w; ++i) out[i] = in[i] * scale + shift;
-      }
-    }
-    return y;
-  }
 
   cached_xhat_ = Tensor{x.shape()};
   cached_inv_std_ = Tensor{Shape{c}};
@@ -84,8 +69,8 @@ void BatchNorm2d::forward_into(const Tensor& in, Tensor& out,
   BDLFI_CHECK(in.numel() == out.numel());
   const std::int64_t n = in.shape()[0], c = in.shape()[1], h = in.shape()[2],
                      w = in.shape()[3];
-  // Identical arithmetic to the eval branch of forward(); out may alias in
-  // (each element is read exactly once before it is written).
+  // Frozen running moments make the layer a per-channel affine map; out may
+  // alias in (each element is read exactly once before it is written).
   for (std::int64_t ch = 0; ch < c; ++ch) {
     const float inv_std = 1.0f / std::sqrt(running_var_[ch] + eps_);
     const float scale = gamma_[ch] * inv_std;

@@ -17,7 +17,7 @@ class BatchNorm2d : public Layer {
                        float momentum = 0.1f);
 
   std::string kind() const override { return "bn"; }
-  Tensor forward(const Tensor& x, bool training) override;
+  Shape output_shape(const Shape& in) const override { return in; }
   void forward_into(const Tensor& in, Tensor& out, Workspace& ws) override;
   bool inplace_capable() const override { return true; }
   Tensor backward(const Tensor& grad_output) override;
@@ -31,6 +31,10 @@ class BatchNorm2d : public Layer {
   std::int64_t channels() const { return channels_; }
   Tensor& running_mean() { return running_mean_; }
   Tensor& running_var() { return running_var_; }
+
+ protected:
+  /// Batch statistics: normalizes with them and updates the running moments.
+  Tensor forward_train(const Tensor& x) override;
 
  private:
   std::int64_t channels_;

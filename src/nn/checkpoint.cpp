@@ -78,9 +78,11 @@ bool load_checkpoint(Network& net, const std::string& path) {
   for (auto& r : refs) {
     std::uint32_t name_len = 0;
     if (!read_pod(f, name_len)) return false;
-    std::string name(name_len, '\0');
-    f.read(name.data(), name_len);
-    if (!f || name != r.name) {
+    // Compare lengths before allocating: a corrupt length is rejected, never
+    // turned into a multi-GiB string.
+    std::string name(name_len == r.name.size() ? name_len : 0, '\0');
+    f.read(name.data(), static_cast<std::streamsize>(name.size()));
+    if (!f || name_len != r.name.size() || name != r.name) {
       BDLFI_LOG_ERROR("load_checkpoint: name mismatch: '%s' vs '%s'",
                       name.c_str(), r.name.c_str());
       return false;

@@ -40,13 +40,14 @@ void Conv2d::init_he(util::Rng& rng) {
   if (has_bias_) bias_.fill(0.0f);
 }
 
-Tensor Conv2d::forward(const Tensor& x, bool training) {
-  BDLFI_CHECK(x.shape().rank() == 4 && x.shape()[1] == in_channels_);
-  if (training) cached_input_ = x;
-  if (compute_ctx_ != nullptr) {
-    return tensor::conv2d_forward(x, weight_, bias_, spec_, *compute_ctx_);
-  }
-  return tensor::conv2d_forward(x, weight_, bias_, spec_);
+Shape Conv2d::output_shape(const Shape& in) const {
+  BDLFI_CHECK(in.rank() == 4 && in[1] == in_channels_);
+  return Shape{in[0], out_channels_, spec_.out_h(in[2]), spec_.out_w(in[3])};
+}
+
+Tensor Conv2d::forward_train(const Tensor& x) {
+  cached_input_ = x;
+  return forward(x, false);
 }
 
 void Conv2d::forward_into(const Tensor& in, Tensor& out, Workspace& /*ws*/) {

@@ -19,7 +19,7 @@ class Conv2d : public Layer {
          std::int64_t pad_h, std::int64_t pad_w, bool bias = false);
 
   std::string kind() const override { return "conv"; }
-  Tensor forward(const Tensor& x, bool training) override;
+  Shape output_shape(const Shape& in) const override;
   void forward_into(const Tensor& in, Tensor& out, Workspace& ws) override;
   Tensor backward(const Tensor& grad_output) override;
   void collect_params(const std::string& prefix,
@@ -34,6 +34,9 @@ class Conv2d : public Layer {
   std::int64_t out_channels() const { return out_channels_; }
   Tensor& weight() { return weight_; }
   Tensor& bias() { return bias_; }
+
+ protected:
+  Tensor forward_train(const Tensor& x) override;
 
  private:
   std::int64_t in_channels_, out_channels_;

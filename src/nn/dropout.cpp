@@ -13,9 +13,8 @@ Dropout::Dropout(double rate, std::uint64_t seed) : rate_(rate), rng_(seed) {
   BDLFI_CHECK(rate >= 0.0 && rate < 1.0);
 }
 
-Tensor Dropout::forward(const Tensor& x, bool training) {
-  const bool sample = training || mc_mode_;
-  if (!sample || rate_ == 0.0) {
+Tensor Dropout::forward_train(const Tensor& x) {
+  if (rate_ == 0.0) {
     cached_mask_ = Tensor{};  // identity pass: backward is identity too
     return x;
   }
@@ -26,17 +25,23 @@ Tensor Dropout::forward(const Tensor& x, bool training) {
   }
   Tensor y{x.shape()};
   for (std::int64_t i = 0; i < y.numel(); ++i) y[i] = x[i] * mask[i];
-  if (training) cached_mask_ = std::move(mask);
+  cached_mask_ = std::move(mask);
   return y;
 }
 
 void Dropout::forward_into(const Tensor& in, Tensor& out, Workspace& /*ws*/) {
-  // Planned execution is eval-mode and plan_eval_safe() gates out MC mode,
-  // so this is always the identity pass.
-  BDLFI_CHECK(!mc_mode_);
   BDLFI_CHECK(in.numel() == out.numel());
-  if (out.data() != in.data()) {
-    std::copy_n(in.data(), static_cast<std::size_t>(in.numel()), out.data());
+  if (!mc_mode_ || rate_ == 0.0) {
+    if (out.data() != in.data()) {
+      std::copy_n(in.data(), static_cast<std::size_t>(in.numel()),
+                  out.data());
+    }
+    return;
+  }
+  // MC mode: one draw per element in order, as in training; out may alias in.
+  const auto scale = static_cast<float>(1.0 / (1.0 - rate_));
+  for (std::int64_t i = 0; i < in.numel(); ++i) {
+    out[i] = in[i] * (rng_.bernoulli(rate_) ? 0.0f : scale);
   }
 }
 

@@ -23,16 +23,12 @@ class Dropout : public Layer {
 
   std::string kind() const override { return "dropout"; }
 
-  /// Training mode: stochastic mask + 1/(1-rate) scaling.
+  Shape output_shape(const Shape& in) const override { return in; }
   /// Eval mode: identity — unless mc_mode(true) was set, in which case the
-  /// layer keeps sampling (MC-Dropout predictive sampling).
-  Tensor forward(const Tensor& x, bool training) override;
+  /// layer keeps sampling (MC-Dropout predictive sampling), drawing from its
+  /// RNG once per element per call.
   void forward_into(const Tensor& in, Tensor& out, Workspace& ws) override;
   bool inplace_capable() const override { return true; }
-  /// MC mode draws from the layer's RNG on every eval forward — the plan's
-  /// shape probe would perturb the stream, so MC networks take the legacy
-  /// path.
-  bool plan_eval_safe() const override { return !mc_mode_; }
   Tensor backward(const Tensor& grad_output) override;
   std::unique_ptr<Layer> clone() const override;
 
@@ -43,6 +39,10 @@ class Dropout : public Layer {
 
   /// Reseeds the layer's private RNG stream (per-replica decorrelation).
   void reseed(std::uint64_t seed) { rng_.reseed(seed); }
+
+ protected:
+  /// Training mode: stochastic mask + 1/(1-rate) scaling.
+  Tensor forward_train(const Tensor& x) override;
 
  private:
   double rate_;

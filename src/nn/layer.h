@@ -50,12 +50,13 @@ struct ParamRef {
   Tensor* grad = nullptr;
 };
 
-/// Per-execution scratch passed through planned forwards, owned by the plan
-/// and grow-once: a layer stages temporaries in `scratch` instead of
-/// allocating per eval (BasicBlock keeps its inner activation and projection
-/// shortcut there; Conv2d and BatchNorm2d ignore it). One rule keeps the
-/// views valid: a layer resizes `scratch` only before taking views into it,
-/// and the sub-layers it calls do not resize it.
+/// Per-execution scratch passed through forward_into, owned by the plan (or
+/// local to one eval Layer::forward) and grow-once: a layer stages
+/// temporaries in `scratch` instead of allocating per eval (a basic block
+/// keeps its inner activation and projection shortcut there; Conv2d and
+/// BatchNorm2d ignore it). One rule keeps the views valid: a layer resizes
+/// `scratch` only before taking views into it, and the sub-layers it calls
+/// do not resize it.
 struct Workspace {
   std::vector<float> scratch;
 };
@@ -68,29 +69,27 @@ class Layer {
   /// per-layer sensitivity results of Fig 3.
   virtual std::string kind() const = 0;
 
-  /// Runs the layer, caching whatever backward() needs when `training`.
-  virtual Tensor forward(const Tensor& x, bool training) = 0;
+  /// Runs the layer. Training mode runs forward_train(), caching whatever
+  /// backward() needs; eval mode allocates output_shape(x.shape()) and runs
+  /// forward_into() on it, so every eval forward runs the one eval body.
+  Tensor forward(const Tensor& x, bool training);
 
-  /// Eval-mode forward into caller-provided storage — the planned-execution
-  /// contract. `out` arrives pre-shaped with this layer's output geometry and
-  /// may alias `in` only when inplace_capable(); implementations must write
-  /// every element of `out` and never mutate `in`. The base implementation is
-  /// a compatibility shim (run the allocating forward(), copy the result), so
-  /// custom layers stay correct under planned execution — just not
-  /// allocation-free until they override.
-  virtual void forward_into(const Tensor& in, Tensor& out, Workspace& ws);
+  /// Shape of the eval-mode output for an input of shape `in`. Plans size
+  /// their slots from it without running the layer.
+  virtual Shape output_shape(const Shape& in) const = 0;
+
+  /// Eval-mode forward into caller-provided storage: the layer's only eval
+  /// implementation. `out` arrives shaped output_shape(in.shape()) and may
+  /// alias `in` only when inplace_capable(); implementations must write every
+  /// element of `out` and never mutate `in`. Stateful eval modes live here
+  /// too (MC dropout draws its mask, a calibrating guard records its range),
+  /// once per call.
+  virtual void forward_into(const Tensor& in, Tensor& out, Workspace& ws) = 0;
 
   /// True when forward_into tolerates out.data() == in.data(). Pure
   /// elementwise layers say yes so the plan can collapse their slot onto the
   /// producer's buffer.
   virtual bool inplace_capable() const { return false; }
-
-  /// True when an extra eval-mode forward of this layer has no observable
-  /// side effects (no RNG draws, no state recording). The plan compiler's
-  /// shape probe and step replay rely on this; layers with stateful eval
-  /// modes (MC-dropout sampling, calibrating range guards) return false to
-  /// route the whole network through the legacy allocating path instead.
-  virtual bool plan_eval_safe() const { return true; }
 
   /// Consumes d(loss)/d(output), accumulates parameter gradients, returns
   /// d(loss)/d(input). Only valid after a training-mode forward.
@@ -122,14 +121,19 @@ class Layer {
 
   /// Installs (or clears, with nullptr) the per-op self-checking context for
   /// the next forward: ABFT checksum config plus this layer's transient
-  /// compute-fault flips. Set by Network::forward_from around each layer call;
-  /// layers whose forward runs a GEMM (dense, conv, block) honour it, all
-  /// others ignore it. Not owned; must outlive the forward.
+  /// compute-fault flips. Set around each layer call by the execution plan
+  /// and by Network::forward's training loop; layers whose forward runs a
+  /// GEMM (dense, conv, block) honour it, all others ignore it. Not owned;
+  /// must outlive the forward.
   void set_compute_context(const tensor::abft::OpContext* ctx) {
     compute_ctx_ = ctx;
   }
 
  protected:
+  /// Training-mode forward: caches what backward() needs. Defaults to the
+  /// eval forward, for layers that keep no backward caches.
+  virtual Tensor forward_train(const Tensor& x) { return forward(x, false); }
+
   const tensor::abft::OpContext* compute_ctx_ = nullptr;
 };
 

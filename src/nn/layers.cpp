@@ -28,15 +28,12 @@ std::int64_t Layer::num_params() {
   return n;
 }
 
-void Layer::forward_into(const Tensor& in, Tensor& out, Workspace& /*ws*/) {
-  // Compatibility shim: layers without a slot-aware override still run under
-  // a plan, paying one allocation per step. Shapes may legitimately differ
-  // (flatten-style layers); element counts must not.
-  const Tensor result = forward(in, /*training=*/false);
-  BDLFI_CHECK_MSG(result.numel() == out.numel(),
-                  "forward_into shim: output size mismatch");
-  std::copy_n(result.data(), static_cast<std::size_t>(result.numel()),
-              out.data());
+Tensor Layer::forward(const Tensor& x, bool training) {
+  if (training) return forward_train(x);
+  Tensor out{output_shape(x.shape())};
+  Workspace ws;
+  forward_into(x, out, ws);
+  return out;
 }
 
 // --- Dense -------------------------------------------------------------------
@@ -58,24 +55,14 @@ void Dense::init_he(util::Rng& rng) {
   if (has_bias_) bias_.fill(0.0f);
 }
 
-Tensor Dense::forward(const Tensor& x, bool training) {
-  BDLFI_CHECK(x.shape().rank() == 2 && x.shape()[1] == in_);
-  if (training) cached_input_ = x;
-  const std::int64_t n = x.shape()[0];
-  Tensor y{Shape{n, out_}};
-  // y = x [n,in] * W^T [in,out]. Under a compute context the GEMM is checked
-  // pre-bias: compute faults strike the raw MAC results, and the checksum
-  // invariant only covers the multiply itself.
-  if (compute_ctx_ != nullptr) {
-    tensor::abft::gemm_checked(false, true, n, out_, in_, 1.0f, x.data(), in_,
-                               weight_.data(), in_, y.data(), out_,
-                               *compute_ctx_, /*elem_base=*/0);
-  } else {
-    tensor::gemm(false, true, n, out_, in_, 1.0f, x.data(), in_,
-                 weight_.data(), in_, 0.0f, y.data(), out_);
-  }
-  if (has_bias_) tensor::bias_add_rows(y, bias_);
-  return y;
+Shape Dense::output_shape(const Shape& in) const {
+  BDLFI_CHECK(in.rank() == 2 && in[1] == in_);
+  return Shape{in[0], out_};
+}
+
+Tensor Dense::forward_train(const Tensor& x) {
+  cached_input_ = x;
+  return forward(x, false);
 }
 
 void Dense::forward_into(const Tensor& in, Tensor& out, Workspace& /*ws*/) {
@@ -83,8 +70,10 @@ void Dense::forward_into(const Tensor& in, Tensor& out, Workspace& /*ws*/) {
   const std::int64_t n = in.shape()[0];
   BDLFI_CHECK(out.shape() == Shape({n, out_}));
   BDLFI_CHECK(out.data() != in.data());
-  // Same GEMM + bias sequence as forward(): beta = 0 overwrites whatever the
-  // arena slot held, so stale activations from the previous eval are inert.
+  // y = x [n,in] * W^T [in,out]; beta = 0 overwrites whatever the arena slot
+  // held, so stale activations from the previous eval are inert. Under a
+  // compute context the GEMM is checked pre-bias: compute faults strike the
+  // raw MAC results, and the checksum invariant only covers the multiply.
   if (compute_ctx_ != nullptr) {
     tensor::abft::gemm_checked(false, true, n, out_, in_, 1.0f, in.data(), in_,
                                weight_.data(), in_, out.data(), out_,
@@ -140,11 +129,9 @@ std::unique_ptr<Layer> Dense::clone() const {
 
 // --- ReLU --------------------------------------------------------------------
 
-Tensor ReLU::forward(const Tensor& x, bool training) {
-  if (training) cached_pre_ = x;
-  Tensor y = x;
-  tensor::relu_inplace(y);
-  return y;
+Tensor ReLU::forward_train(const Tensor& x) {
+  cached_pre_ = x;
+  return forward(x, false);
 }
 
 void ReLU::forward_into(const Tensor& in, Tensor& out, Workspace& /*ws*/) {
@@ -165,11 +152,15 @@ Tensor ReLU::backward(const Tensor& grad_output) {
 
 // --- Flatten -----------------------------------------------------------------
 
-Tensor Flatten::forward(const Tensor& x, bool training) {
-  BDLFI_CHECK(x.shape().rank() >= 2);
-  if (training) cached_shape_ = x.shape();
-  const std::int64_t n = x.shape()[0];
-  return x.reshaped(Shape{n, x.numel() / n});
+Shape Flatten::output_shape(const Shape& in) const {
+  BDLFI_CHECK(in.rank() >= 2);
+  const std::int64_t n = in[0];
+  return Shape{n, in.numel() / n};
+}
+
+Tensor Flatten::forward_train(const Tensor& x) {
+  cached_shape_ = x.shape();
+  return x.reshaped(output_shape(x.shape()));
 }
 
 void Flatten::forward_into(const Tensor& in, Tensor& out, Workspace& /*ws*/) {
@@ -187,15 +178,19 @@ Tensor Flatten::backward(const Tensor& grad_output) {
 
 // --- MaxPool2d ---------------------------------------------------------------
 
-Tensor MaxPool2d::forward(const Tensor& x, bool training) {
-  if (training) cached_shape_ = x.shape();
+Shape MaxPool2d::output_shape(const Shape& in) const {
+  BDLFI_CHECK(in.rank() == 4);
+  return Shape{in[0], in[1], in[2] / kernel_, in[3] / kernel_};
+}
+
+Tensor MaxPool2d::forward_train(const Tensor& x) {
+  cached_shape_ = x.shape();
   return tensor::maxpool2d_forward(x, kernel_, argmax_);
 }
 
 void MaxPool2d::forward_into(const Tensor& in, Tensor& out,
                              Workspace& /*ws*/) {
-  // Eval-only path: the argmax record exists for backward, which planned
-  // execution never runs.
+  // Eval mode records no argmax: it exists for backward only.
   tensor::maxpool2d_forward_into(in, kernel_, out, nullptr);
 }
 
@@ -205,9 +200,14 @@ Tensor MaxPool2d::backward(const Tensor& grad_output) {
 
 // --- GlobalAvgPool -----------------------------------------------------------
 
-Tensor GlobalAvgPool::forward(const Tensor& x, bool training) {
-  if (training) cached_shape_ = x.shape();
-  return tensor::global_avgpool_forward(x);
+Shape GlobalAvgPool::output_shape(const Shape& in) const {
+  BDLFI_CHECK(in.rank() == 4);
+  return Shape{in[0], in[1]};
+}
+
+Tensor GlobalAvgPool::forward_train(const Tensor& x) {
+  cached_shape_ = x.shape();
+  return forward(x, false);
 }
 
 void GlobalAvgPool::forward_into(const Tensor& in, Tensor& out,

@@ -13,7 +13,7 @@ class Dense : public Layer {
   Dense(std::int64_t in_features, std::int64_t out_features, bool bias = true);
 
   std::string kind() const override { return "dense"; }
-  Tensor forward(const Tensor& x, bool training) override;
+  Shape output_shape(const Shape& in) const override;
   void forward_into(const Tensor& in, Tensor& out, Workspace& ws) override;
   Tensor backward(const Tensor& grad_output) override;
   void collect_params(const std::string& prefix,
@@ -29,6 +29,9 @@ class Dense : public Layer {
   Tensor& weight() { return weight_; }
   Tensor& bias() { return bias_; }
 
+ protected:
+  Tensor forward_train(const Tensor& x) override;
+
  private:
   std::int64_t in_, out_;
   bool has_bias_;
@@ -41,13 +44,16 @@ class Dense : public Layer {
 class ReLU : public Layer {
  public:
   std::string kind() const override { return "relu"; }
-  Tensor forward(const Tensor& x, bool training) override;
+  Shape output_shape(const Shape& in) const override { return in; }
   void forward_into(const Tensor& in, Tensor& out, Workspace& ws) override;
   bool inplace_capable() const override { return true; }
   Tensor backward(const Tensor& grad_output) override;
   std::unique_ptr<Layer> clone() const override {
     return std::make_unique<ReLU>();
   }
+
+ protected:
+  Tensor forward_train(const Tensor& x) override;
 
  private:
   Tensor cached_pre_;
@@ -57,13 +63,16 @@ class ReLU : public Layer {
 class Flatten : public Layer {
  public:
   std::string kind() const override { return "flatten"; }
-  Tensor forward(const Tensor& x, bool training) override;
+  Shape output_shape(const Shape& in) const override;
   void forward_into(const Tensor& in, Tensor& out, Workspace& ws) override;
   bool inplace_capable() const override { return true; }
   Tensor backward(const Tensor& grad_output) override;
   std::unique_ptr<Layer> clone() const override {
     return std::make_unique<Flatten>();
   }
+
+ protected:
+  Tensor forward_train(const Tensor& x) override;
 
  private:
   Shape cached_shape_;
@@ -75,12 +84,15 @@ class MaxPool2d : public Layer {
   explicit MaxPool2d(std::int64_t kernel) : kernel_(kernel) {}
   std::string kind() const override { return "maxpool"; }
   std::int64_t kernel() const { return kernel_; }
-  Tensor forward(const Tensor& x, bool training) override;
+  Shape output_shape(const Shape& in) const override;
   void forward_into(const Tensor& in, Tensor& out, Workspace& ws) override;
   Tensor backward(const Tensor& grad_output) override;
   std::unique_ptr<Layer> clone() const override {
     return std::make_unique<MaxPool2d>(kernel_);
   }
+
+ protected:
+  Tensor forward_train(const Tensor& x) override;
 
  private:
   std::int64_t kernel_;
@@ -92,12 +104,15 @@ class MaxPool2d : public Layer {
 class GlobalAvgPool : public Layer {
  public:
   std::string kind() const override { return "avgpool"; }
-  Tensor forward(const Tensor& x, bool training) override;
+  Shape output_shape(const Shape& in) const override;
   void forward_into(const Tensor& in, Tensor& out, Workspace& ws) override;
   Tensor backward(const Tensor& grad_output) override;
   std::unique_ptr<Layer> clone() const override {
     return std::make_unique<GlobalAvgPool>();
   }
+
+ protected:
+  Tensor forward_train(const Tensor& x) override;
 
  private:
   Shape cached_shape_;

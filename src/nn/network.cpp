@@ -26,60 +26,53 @@ void Network::add(std::string name, std::unique_ptr<Layer> layer) {
 Tensor Network::forward(const Tensor& x, bool training,
                         const ActivationHook& hook) {
   BDLFI_CHECK_MSG(!layers_.empty(), "forward on empty network");
-  return forward_from(0, x, training, hook);
+  if (!training) return forward_view(0, x, hook);
+  // Training runs layer by layer. Unchecked layers run exactly the plain
+  // forward — the bit-exact-parity guarantee of abft.h.
+  const bool check = checked();
+  Tensor act = x;
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    Layer& layer = *layers_[i].entry;
+    if (check) {
+      const tensor::abft::OpContext ctx = op_context(i);
+      layer.set_compute_context(&ctx);
+      act = layer.forward(act, /*training=*/true);
+      layer.set_compute_context(nullptr);
+    } else {
+      act = layer.forward(act, /*training=*/true);
+    }
+    if (hook) hook(i, act);
+  }
+  return act;
 }
 
-Tensor Network::forward_from(std::size_t first_layer, Tensor act,
-                             bool training, const ActivationHook& hook) {
-  BDLFI_CHECK_MSG(first_layer <= layers_.size(),
-                  "forward_from past the end of the network");
-  if (!training && first_layer < layers_.size()) {
-    if (const Tensor* out = planned_forward(first_layer, act, hook)) {
-      return *out;  // deep copy: the arena view materializes to owned storage
-    }
-  }
-  return forward_from_legacy(first_layer, std::move(act), training, hook);
+Tensor Network::forward_from(std::size_t first_layer, const Tensor& act,
+                             const ActivationHook& hook) {
+  return forward_view(first_layer, act, hook);  // deep copy of the arena view
 }
 
 const Tensor& Network::forward_view(std::size_t first_layer, const Tensor& act,
                                     const ActivationHook& hook) {
   BDLFI_CHECK_MSG(first_layer <= layers_.size(),
                   "forward_view past the end of the network");
-  if (first_layer < layers_.size()) {
-    if (const Tensor* out = planned_forward(first_layer, act, hook)) {
-      return *out;
-    }
-  }
-  fallback_logits_ =
-      forward_from_legacy(first_layer, act, /*training=*/false, hook);
-  return fallback_logits_;
-}
-
-const Tensor* Network::planned_forward(std::size_t first_layer,
-                                       const Tensor& act,
-                                       const ActivationHook& hook) {
-  // A single unsafe layer (MC-mode dropout, calibrating guard) routes the
-  // whole forward through the legacy path — per-call, so toggling works.
-  for (const auto& e : layers_) {
-    if (!e.entry->plan_eval_safe()) return nullptr;
-  }
+  if (first_layer == layers_.size()) return act;
   for (auto& plan : plans_) {
     if (plan->covers(first_layer, act.shape())) {
-      return &plan->run(*this, first_layer, act, hook);
+      return plan->run(*this, first_layer, act, hook);
     }
   }
   // Compile from the entry layer, so a replica whose first evals resume
   // mid-network gets a plan at once. A plan covers every later entry its
-  // probe passed through, so the ones it supersedes are dropped.
+  // shapes pass through, so the ones it supersedes are dropped.
   std::unique_ptr<ExecutionPlan> plan =
-      ExecutionPlan::compile(*this, act, first_layer);
+      ExecutionPlan::compile(*this, act.shape(), first_layer);
   std::erase_if(plans_, [&](const std::unique_ptr<ExecutionPlan>& old) {
     return plan->supersedes(*old);
   });
   constexpr std::size_t kMaxPlans = 4;
   if (plans_.size() >= kMaxPlans) plans_.erase(plans_.begin());
   plans_.push_back(std::move(plan));
-  return &plans_.back()->run(*this, first_layer, act, hook);
+  return plans_.back()->run(*this, first_layer, act, hook);
 }
 
 const ExecutionPlan* Network::plan_for(const Shape& shape) const {
@@ -87,27 +80,6 @@ const ExecutionPlan* Network::plan_for(const Shape& shape) const {
     if (plan->covers(0, shape)) return plan.get();
   }
   return nullptr;
-}
-
-Tensor Network::forward_from_legacy(std::size_t first_layer, Tensor act,
-                                    bool training,
-                                    const ActivationHook& hook) {
-  // Unchecked layers run exactly the plain forward — the bit-exact-parity
-  // guarantee of abft.h.
-  const bool check = checked();
-  for (std::size_t i = first_layer; i < layers_.size(); ++i) {
-    Layer& layer = *layers_[i].entry;
-    if (check) {
-      const tensor::abft::OpContext ctx = op_context(i);
-      layer.set_compute_context(&ctx);
-      act = layer.forward(act, training);
-      layer.set_compute_context(nullptr);
-    } else {
-      act = layer.forward(act, training);
-    }
-    if (hook) hook(i, act);
-  }
-  return act;
 }
 
 bool Network::checked() const {

@@ -48,35 +48,35 @@ class Network {
   using ActivationHook =
       std::function<void(std::size_t layer_index, Tensor& activation)>;
 
-  /// Forward pass. `training` enables backward caches and batch-stat BN.
+  /// Forward pass. Eval mode returns a copy of forward_view(0, x, hook).
+  /// Training mode runs layer by layer, each layer caching what backward()
+  /// needs (and BN using batch statistics).
   Tensor forward(const Tensor& x, bool training = false,
                  const ActivationHook& hook = nullptr);
 
   /// Resumes inference mid-network: runs layers [first_layer, num_layers())
   /// on `act`, which must be the activation *entering* layer `first_layer`
   /// (i.e. the output of layer first_layer-1, or the network input when
-  /// first_layer == 0). `hook` fires with the same layer indices as forward().
-  /// first_layer == num_layers() returns `act` unchanged. In eval mode every
-  /// layer is a deterministic function of its input, so replaying a suffix
-  /// from a cached golden activation is bit-exact with a full forward — the
+  /// first_layer == 0), and returns a copy of forward_view's result. `hook`
+  /// fires with the same layer indices as forward(). first_layer ==
+  /// num_layers() returns `act` unchanged. In eval mode every layer is a
+  /// deterministic function of its input, so replaying a suffix from a
+  /// cached golden activation is bit-exact with a full forward — the
   /// invariant the truncated mask-evaluation pipeline rests on.
-  Tensor forward_from(std::size_t first_layer, Tensor act,
-                      bool training = false,
+  Tensor forward_from(std::size_t first_layer, const Tensor& act,
                       const ActivationHook& hook = nullptr);
 
-  /// Zero-copy eval forward: like forward_from(first_layer, act, false, hook)
-  /// but returns a borrowed reference to the logits — on the planned path, a
-  /// view of the plan's arena slot; otherwise a reference to an internal
-  /// fallback tensor. Valid until the next forward on this network; copy to
-  /// keep. This is the hot path for mask-evaluation loops: steady state
-  /// performs zero heap allocations.
+  /// Zero-copy eval forward: like forward_from(first_layer, act, hook) but
+  /// returns a borrowed reference to the logits, a view of the plan's arena
+  /// slot (or `act` itself when first_layer == num_layers()). Valid until
+  /// the next forward on this network; copy to keep. This is the hot path
+  /// for mask-evaluation loops: steady state performs zero heap allocations.
   ///
-  /// Eval forwards run on an ExecutionPlan (DESIGN.md §13), compiled on first
-  /// use from the layer the call enters at: one Layer::forward_into per
-  /// top-level layer over pre-sized arena slots, no per-eval allocations,
-  /// bit-exact with the layer-by-layer forward. Training forwards and
-  /// networks with a layer whose plan_eval_safe() is false (MC dropout,
-  /// calibrating range guards) run layer by layer instead.
+  /// Every eval forward runs on an ExecutionPlan (DESIGN.md §13), compiled
+  /// on first use from the layer the call enters at and sized from each
+  /// layer's output_shape: one Layer::forward_into per top-level layer over
+  /// pre-sized arena slots, no per-eval allocations. Stateful eval layers
+  /// (MC dropout, calibrating range guards) run on it too, once per call.
   const Tensor& forward_view(std::size_t first_layer, const Tensor& act,
                              const ActivationHook& hook = nullptr);
 
@@ -154,13 +154,6 @@ class Network {
     std::unique_ptr<Layer> entry;
   };
 
-  /// Runs layers [first_layer, end) on a plan, compiling one from
-  /// first_layer when none covers the call; returns nullptr when a layer
-  /// vetoes planning and the caller must run layer by layer.
-  const Tensor* planned_forward(std::size_t first_layer, const Tensor& act,
-                                const ActivationHook& hook);
-  Tensor forward_from_legacy(std::size_t first_layer, Tensor act,
-                             bool training, const ActivationHook& hook);
   /// True when forwards must run self-checking: ABFT on, or compute faults
   /// installed. Otherwise every layer runs exactly the unchecked forward.
   bool checked() const;
@@ -177,7 +170,6 @@ class Network {
   // plan covers; bounded, oldest evicted. Per-instance — clones compile their
   // own plans and therefore own independent arenas.
   std::vector<std::unique_ptr<ExecutionPlan>> plans_;
-  Tensor fallback_logits_;  // forward_view storage on the legacy path
 };
 
 }  // namespace bdlfi::nn

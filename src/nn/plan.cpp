@@ -7,25 +7,23 @@
 namespace bdlfi::nn {
 
 std::unique_ptr<ExecutionPlan> ExecutionPlan::compile(Network& net,
-                                                      const Tensor& probe,
+                                                      const Shape& input,
                                                       std::size_t first_layer) {
   BDLFI_CHECK_MSG(first_layer < net.num_layers(),
                   "plan compile past the end of the network");
   std::unique_ptr<ExecutionPlan> plan(new ExecutionPlan);
   plan->first_ = first_layer;
 
-  // Probe: one eval forward of the suffix records every layer-boundary shape.
-  // This works for any Layer subclass (custom layers included) without
-  // requiring a shape-inference virtual.
+  // Walk the suffix's output shapes; no layer runs.
   std::vector<Shape> out_shapes;
-  Tensor act = probe;
+  Shape shape = input;
   int in_buf = -1;  // the first step's input is always the external tensor
   for (std::size_t i = first_layer; i < net.num_layers(); ++i) {
     Step s;
     s.layer = &net.layer(i);
-    s.in_shape = act.shape();
-    act = s.layer->forward(act, /*training=*/false);
-    out_shapes.push_back(act.shape());
+    s.in_shape = shape;
+    shape = s.layer->output_shape(shape);
+    out_shapes.push_back(shape);
     // Elementwise layers overwrite their producer's slot (the producer's hook
     // has already fired by the time they run); every other layer writes the
     // other slot. The external input is never written.
@@ -36,7 +34,7 @@ std::unique_ptr<ExecutionPlan> ExecutionPlan::compile(Network& net,
       plan->buffer_sizes_.resize(slot + 1);
     }
     plan->buffer_sizes_[slot] =
-        std::max(plan->buffer_sizes_[slot], act.numel());
+        std::max(plan->buffer_sizes_[slot], shape.numel());
     in_buf = s.out_buf;
     plan->steps_.push_back(std::move(s));
   }
@@ -76,8 +74,8 @@ const Tensor& ExecutionPlan::run(Network& net, std::size_t first_layer,
                                  const Tensor& input,
                                  const Network::ActivationHook& hook) {
   BDLFI_CHECK(covers(first_layer, input.shape()));
-  // Same per-layer contexts as the layer-by-layer loop; unchecked forwards
-  // install none.
+  // Same per-layer contexts as the training loop; unchecked forwards install
+  // none.
   const bool checked = net.checked();
   const Tensor* in = &input;
   for (std::size_t k = first_layer - first_; k < steps_.size(); ++k) {

@@ -1,26 +1,29 @@
 // ExecutionPlan: pre-sized, allocation-free eval-mode forward execution.
 //
-// At the first eval-mode forward that enters at layer L with a shape no plan
-// covers, the network walks layers [L, end) once (a probe forward) to size
-// every intermediate activation, allocates all of them from a single
-// 64-byte-aligned Arena, and compiles a step list referencing arena offsets.
-// Steady-state evaluations then reuse the same buffers — zero heap
-// allocations per forward — which is what lets a fault-injection campaign run
-// millions of truncated replays without churning the allocator. A plan
-// compiled from L also serves every later entry point its probe passed
-// through; an entry before L compiles a longer plan that supersedes it.
+// Every eval-mode forward runs on a plan. At the first one that enters at
+// layer L with a shape no plan covers, the network walks the output_shape of
+// layers [L, end) to size every intermediate activation — no layer runs —
+// allocates all of them from a single 64-byte-aligned Arena, and compiles a
+// step list referencing arena offsets. Steady-state evaluations then reuse
+// the same buffers — zero heap allocations per forward — which is what lets
+// a fault-injection campaign run millions of truncated replays without
+// churning the allocator. A plan compiled from L also serves every later
+// entry point its shapes pass through; an entry before L compiles a longer
+// plan that supersedes it.
 //
-// The plan is one Layer::forward_into step per top-level layer, and it
-// mirrors the layer-by-layer forward exactly:
-//   * Execution is bit-exact with Layer::forward run layer by layer: every
-//     forward_into calls the same kernels in the same order on the same
-//     values (a layer with internals, such as BasicBlock, runs them inside
-//     its own forward_into, staging temporaries in the plan's Workspace).
+// The plan is one Layer::forward_into step per top-level layer, and
+// forward_into is each layer's only eval body:
+//   * Execution is bit-exact with eval Layer::forward run layer by layer,
+//     which is forward_into on fresh storage (a layer with internals, such
+//     as a basic block, runs them inside its own forward_into, staging
+//     temporaries in the plan's Workspace).
+//   * Stateful eval layers (MC dropout, calibrating range guards) run once
+//     per forward, as in a layer-by-layer loop: compilation runs nothing.
 //   * Activation hooks fire once per top-level layer index with a borrowed
-//     view of the arena slot — the same indices, values, and mutation
-//     semantics as the layer-by-layer path.
+//     view of the arena slot.
 //   * ABFT checking and compute-fault plans run through the plan with the
-//     same per-layer OpContext the layer-by-layer path installs.
+//     per-layer OpContext of Network::op_context, the one the training loop
+//     installs too.
 //
 // Activations ping-pong between two arena slots; an in-place-capable layer
 // reuses its producer's slot.
@@ -41,16 +44,15 @@ namespace bdlfi::nn {
 
 class ExecutionPlan {
  public:
-  /// Compiles a plan for layers [first_layer, end) of `net` by probing one
-  /// eval forward of those layers with `probe_input`, the activation entering
-  /// first_layer (shapes are recorded; no layer state is perturbed — the
-  /// caller must have verified plan_eval_safe() on every layer).
+  /// Compiles a plan for layers [first_layer, end) of `net` on an input of
+  /// shape `input` entering first_layer, sizing slots from each layer's
+  /// output_shape. Runs no layer.
   static std::unique_ptr<ExecutionPlan> compile(Network& net,
-                                                const Tensor& probe_input,
+                                                const Shape& input,
                                                 std::size_t first_layer);
 
   /// True when this plan can execute layers [first_layer, end) on an
-  /// activation of shape `shape` (shape must equal the probe activation
+  /// activation of shape `shape` (shape must equal the planned shape
   /// entering that layer).
   bool covers(std::size_t first_layer, const Shape& shape) const;
 

@@ -14,58 +14,26 @@ RangeGuard::RangeGuard(double margin) : margin_(margin) {
   hi_ = -std::numeric_limits<float>::infinity();
 }
 
-Tensor RangeGuard::forward(const Tensor& x, bool /*training*/) {
+void RangeGuard::forward_into(const Tensor& in, Tensor& out,
+                              Workspace& /*ws*/) {
+  BDLFI_CHECK(in.numel() == out.numel());
   if (calibrating_) {
-    for (std::int64_t i = 0; i < x.numel(); ++i) {
-      const float v = x[i];
+    for (std::int64_t i = 0; i < in.numel(); ++i) {
+      const float v = in[i];
       if (std::isfinite(v)) {
         lo_ = std::min(lo_, v);
         hi_ = std::max(hi_, v);
       }
     }
     calibrated_ = lo_ <= hi_;
-    return x;
   }
-  if (!calibrated_) return x;  // never calibrated: transparent
-
-  const float span = hi_ - lo_;
-  const auto widen = static_cast<float>(margin_) * (span > 0.0f ? span : 1.0f);
-  const float lo = lo_ - widen;
-  const float hi = hi_ + widen;
-  const float mid = 0.5f * (lo + hi);
-  Tensor y = x;
-  std::size_t fired = 0;
-  for (std::int64_t i = 0; i < y.numel(); ++i) {
-    const float v = y[i];
-    if (std::isnan(v)) {
-      y[i] = mid;
-      ++fired;
-    } else if (v < lo) {
-      y[i] = lo;
-      ++fired;
-    } else if (v > hi) {
-      y[i] = hi;
-      ++fired;
-    }
-  }
-  // One relaxed RMW per forward, not per element: this layer may be shared
-  // across parallel chain evaluations.
-  if (fired > 0) corrections_.fetch_add(fired, std::memory_order_relaxed);
-  return y;
-}
-
-void RangeGuard::forward_into(const Tensor& in, Tensor& out,
-                              Workspace& /*ws*/) {
-  BDLFI_CHECK(!calibrating_);  // plan_eval_safe() keeps calibration legacy
-  BDLFI_CHECK(in.numel() == out.numel());
-  if (!calibrated_) {  // never calibrated: transparent
+  if (calibrating_ || !calibrated_) {  // no range to clamp to: transparent
     if (out.data() != in.data()) {
       std::copy_n(in.data(), static_cast<std::size_t>(in.numel()),
                   out.data());
     }
     return;
   }
-  // Same clamp/squash arithmetic and counter semantics as forward().
   const float span = hi_ - lo_;
   const auto widen = static_cast<float>(margin_) * (span > 0.0f ? span : 1.0f);
   const float lo = lo_ - widen;
@@ -87,6 +55,8 @@ void RangeGuard::forward_into(const Tensor& in, Tensor& out,
       out[i] = v;
     }
   }
+  // One relaxed RMW per forward, not per element: this layer may be shared
+  // across parallel chain evaluations.
   if (fired > 0) corrections_.fetch_add(fired, std::memory_order_relaxed);
 }
 

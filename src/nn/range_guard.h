@@ -25,17 +25,16 @@ class RangeGuard : public Layer {
   explicit RangeGuard(double margin = 0.1);
 
   std::string kind() const override { return "guard"; }
-  Tensor forward(const Tensor& x, bool training) override;
+  Shape output_shape(const Shape& in) const override { return in; }
+  /// Calibrating: records the input's finite min/max, once per call, and
+  /// passes it through. Otherwise clamps (see the file comment).
   void forward_into(const Tensor& in, Tensor& out, Workspace& ws) override;
   bool inplace_capable() const override { return true; }
-  /// Calibration records state per forward; route it through the legacy path
-  /// so the plan's shape probe cannot double-record.
-  bool plan_eval_safe() const override { return !calibrating_; }
   /// Straight-through gradient (clamping is inactive on clean training data).
   Tensor backward(const Tensor& grad_output) override { return grad_output; }
   std::unique_ptr<Layer> clone() const override;
 
-  /// While calibrating, forward() records min/max and never clamps.
+  /// While calibrating, forwards record min/max and never clamp.
   void set_calibrating(bool on) { calibrating_ = on; }
   bool calibrating() const { return calibrating_; }
   bool is_calibrated() const { return calibrated_; }

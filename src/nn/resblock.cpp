@@ -39,20 +39,50 @@ void BasicBlock::set_inner_context(tensor::abft::OpContext* inner) {
   if (proj_conv_) proj_conv_->set_compute_context(sub);
 }
 
-Tensor BasicBlock::forward(const Tensor& x, bool training) {
+void basic_block_forward_into(Layer& conv1, Layer& bn1, Layer& conv2,
+                              Layer& bn2, Layer* proj_conv, Layer* proj_bn,
+                              const Tensor& in, Tensor& out, Workspace& ws) {
+  const Shape mid_shape = conv1.output_shape(in.shape());
+  const auto mid_n = static_cast<std::size_t>(mid_shape.numel());
+  const std::size_t need =
+      mid_n + (proj_conv ? static_cast<std::size_t>(out.numel()) : 0);
+  // Grow-once, and only here: the views below outlive the sub-layer calls.
+  if (ws.scratch.size() < need) ws.scratch.resize(need);
+  Tensor mid = Tensor::view(mid_shape, ws.scratch.data());
+
+  conv1.forward_into(in, mid, ws);
+  bn1.forward_into(mid, mid, ws);
+  tensor::relu_inplace(mid);
+  conv2.forward_into(mid, out, ws);
+  bn2.forward_into(out, out, ws);
+  if (proj_conv) {
+    Tensor shortcut = Tensor::view(out.shape(), ws.scratch.data() + mid_n);
+    proj_conv->forward_into(in, shortcut, ws);
+    proj_bn->forward_into(shortcut, shortcut, ws);
+    tensor::add_inplace(out, shortcut);
+  } else {
+    tensor::add_inplace(out, in);
+  }
+  tensor::relu_inplace(out);
+}
+
+Shape BasicBlock::output_shape(const Shape& in) const {
+  return conv2_->output_shape(conv1_->output_shape(in));
+}
+
+Tensor BasicBlock::forward_train(const Tensor& x) {
   tensor::abft::OpContext inner;
   set_inner_context(&inner);
 
-  Tensor mid = bn1_->forward(conv1_->forward(x, training), training);
-  if (training) cached_mid_pre_ = mid;
+  Tensor mid = bn1_->forward(conv1_->forward(x, true), true);
+  cached_mid_pre_ = mid;
   tensor::relu_inplace(mid);
-  Tensor out = bn2_->forward(conv2_->forward(mid, training), training);
+  Tensor out = bn2_->forward(conv2_->forward(mid, true), true);
 
-  Tensor shortcut = proj_conv_
-      ? proj_bn_->forward(proj_conv_->forward(x, training), training)
-      : x;
+  Tensor shortcut =
+      proj_conv_ ? proj_bn_->forward(proj_conv_->forward(x, true), true) : x;
   tensor::add_inplace(out, shortcut);
-  if (training) cached_sum_pre_ = out;
+  cached_sum_pre_ = out;
   tensor::relu_inplace(out);
 
   set_inner_context(nullptr);
@@ -60,36 +90,10 @@ Tensor BasicBlock::forward(const Tensor& x, bool training) {
 }
 
 void BasicBlock::forward_into(const Tensor& in, Tensor& out, Workspace& ws) {
-  BDLFI_CHECK(in.shape().rank() == 4);
-  const Shape mid_shape{in.shape()[0], conv1_->out_channels(),
-                        conv1_->spec().out_h(in.shape()[2]),
-                        conv1_->spec().out_w(in.shape()[3])};
-  const auto mid_n = static_cast<std::size_t>(mid_shape.numel());
-  const std::size_t need =
-      mid_n + (proj_conv_ ? static_cast<std::size_t>(out.numel()) : 0);
-  // Grow-once, and only here: the views below outlive the sub-layer calls.
-  if (ws.scratch.size() < need) ws.scratch.resize(need);
-  Tensor mid = Tensor::view(mid_shape, ws.scratch.data());
-
   tensor::abft::OpContext inner;
   set_inner_context(&inner);
-
-  // forward()'s eval sequence, kernel for kernel: bit-exact with it.
-  conv1_->forward_into(in, mid, ws);
-  bn1_->forward_into(mid, mid, ws);
-  tensor::relu_inplace(mid);
-  conv2_->forward_into(mid, out, ws);
-  bn2_->forward_into(out, out, ws);
-  if (proj_conv_) {
-    Tensor shortcut = Tensor::view(out.shape(), ws.scratch.data() + mid_n);
-    proj_conv_->forward_into(in, shortcut, ws);
-    proj_bn_->forward_into(shortcut, shortcut, ws);
-    tensor::add_inplace(out, shortcut);
-  } else {
-    tensor::add_inplace(out, in);
-  }
-  tensor::relu_inplace(out);
-
+  basic_block_forward_into(*conv1_, *bn1_, *conv2_, *bn2_, proj_conv_.get(),
+                           proj_bn_.get(), in, out, ws);
   set_inner_context(nullptr);
 }
 

@@ -12,6 +12,15 @@
 
 namespace bdlfi::nn {
 
+/// The basic-block eval sequence, the one body every block kind runs:
+/// conv1, bn1, relu, conv2, bn2, shortcut (proj_bn(proj_conv(in)), or `in`
+/// when proj_conv is null), add, relu, each through the sub-layer's
+/// forward_into. The inner activation and the projection shortcut are views
+/// into `ws.scratch`.
+void basic_block_forward_into(Layer& conv1, Layer& bn1, Layer& conv2,
+                              Layer& bn2, Layer* proj_conv, Layer* proj_bn,
+                              const Tensor& in, Tensor& out, Workspace& ws);
+
 class BasicBlock : public Layer {
  public:
   /// stride > 1 (or in != out channels) adds the projection shortcut.
@@ -19,10 +28,9 @@ class BasicBlock : public Layer {
              std::int64_t stride);
 
   std::string kind() const override { return "block"; }
-  Tensor forward(const Tensor& x, bool training) override;
-  /// Same sequence as forward()'s eval mode through the sub-layers'
-  /// forward_into; the inner activation and the projection shortcut are
-  /// views into `ws.scratch`.
+  Shape output_shape(const Shape& in) const override;
+  /// basic_block_forward_into over this block's sub-layers, which run under
+  /// the block's context minus its flip list.
   void forward_into(const Tensor& in, Tensor& out, Workspace& ws) override;
   Tensor backward(const Tensor& grad_output) override;
   void collect_params(const std::string& prefix,
@@ -44,6 +52,9 @@ class BasicBlock : public Layer {
   BatchNorm2d& bn2() { return *bn2_; }
   Conv2d* proj_conv() { return proj_conv_.get(); }
   BatchNorm2d* proj_bn() { return proj_bn_.get(); }
+
+ protected:
+  Tensor forward_train(const Tensor& x) override;
 
  private:
   /// Hands the inner convs this block's context minus its flip list, staged

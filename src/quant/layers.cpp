@@ -1,5 +1,6 @@
 #include "quant/layers.h"
 
+#include "nn/resblock.h"
 #include "util/check.h"
 
 namespace bdlfi::quant {
@@ -72,15 +73,20 @@ Tensor QuantDense::dequantized_weight() const {
   return w;
 }
 
-Tensor QuantDense::forward(const Tensor& x, bool /*training*/) {
-  BDLFI_CHECK(x.shape().rank() == 2 && x.shape()[1] == in_);
+Shape QuantDense::output_shape(const Shape& in) const {
+  BDLFI_CHECK(in.rank() == 2 && in[1] == in_);
+  return Shape{in[0], out_};
+}
+
+void QuantDense::forward_into(const Tensor& in, Tensor& out,
+                              nn::Workspace& /*ws*/) {
+  BDLFI_CHECK(out.shape() == output_shape(in.shape()));
+  BDLFI_CHECK(out.data() != in.data());
+  const std::int64_t n = in.shape()[0];
   const Tensor w = dequantized_weight();
-  const std::int64_t n = x.shape()[0];
-  Tensor y{Shape{n, out_}};
-  tensor::gemm(false, true, n, out_, in_, 1.0f, x.data(), in_, w.data(), in_,
-               0.0f, y.data(), out_);
-  if (!bias_.empty()) tensor::bias_add_rows(y, bias_);
-  return y;
+  tensor::gemm(false, true, n, out_, in_, 1.0f, in.data(), in_, w.data(), in_,
+               0.0f, out.data(), out_);
+  if (!bias_.empty()) tensor::bias_add_rows(out, bias_);
 }
 
 Tensor QuantDense::backward(const Tensor& /*grad_output*/) {
@@ -125,8 +131,16 @@ Tensor QuantConv2d::dequantized_weight() const {
   return w;
 }
 
-Tensor QuantConv2d::forward(const Tensor& x, bool /*training*/) {
-  return tensor::conv2d_forward(x, dequantized_weight(), bias_, spec_);
+Shape QuantConv2d::output_shape(const Shape& in) const {
+  BDLFI_CHECK(in.rank() == 4 && in[1] == weight_shape_[1]);
+  return Shape{in[0], weight_shape_[0], spec_.out_h(in[2]),
+               spec_.out_w(in[3])};
+}
+
+void QuantConv2d::forward_into(const Tensor& in, Tensor& out,
+                               nn::Workspace& /*ws*/) {
+  tensor::conv2d_forward_into(in, dequantized_weight(), bias_, spec_,
+                              tensor::abft::OpContext{}, out);
 }
 
 Tensor QuantConv2d::backward(const Tensor& /*grad_output*/) {
@@ -165,17 +179,14 @@ QuantBasicBlock::QuantBasicBlock(std::unique_ptr<QuantConv2d> conv1,
   BDLFI_CHECK((proj_conv_ == nullptr) == (proj_bn_ == nullptr));
 }
 
-Tensor QuantBasicBlock::forward(const Tensor& x, bool training) {
-  BDLFI_CHECK_MSG(!training, "quantized layers are inference-only");
-  Tensor mid = bn1_->forward(conv1_->forward(x, false), false);
-  tensor::relu_inplace(mid);
-  Tensor out = bn2_->forward(conv2_->forward(mid, false), false);
-  Tensor shortcut =
-      proj_conv_ ? proj_bn_->forward(proj_conv_->forward(x, false), false)
-                 : x;
-  tensor::add_inplace(out, shortcut);
-  tensor::relu_inplace(out);
-  return out;
+Shape QuantBasicBlock::output_shape(const Shape& in) const {
+  return conv2_->output_shape(conv1_->output_shape(in));
+}
+
+void QuantBasicBlock::forward_into(const Tensor& in, Tensor& out,
+                                   nn::Workspace& ws) {
+  nn::basic_block_forward_into(*conv1_, *bn1_, *conv2_, *bn2_,
+                               proj_conv_.get(), proj_bn_.get(), in, out, ws);
 }
 
 Tensor QuantBasicBlock::backward(const Tensor& /*grad_output*/) {

@@ -38,7 +38,9 @@ class QuantDense : public Layer {
              bool per_channel = false);
 
   std::string kind() const override { return "qdense"; }
-  Tensor forward(const Tensor& x, bool training) override;
+  Shape output_shape(const Shape& in) const override;
+  void forward_into(const Tensor& in, Tensor& out,
+                    nn::Workspace& ws) override;
   Tensor backward(const Tensor& grad_output) override;
   std::unique_ptr<Layer> clone() const override;
 
@@ -70,7 +72,9 @@ class QuantConv2d : public Layer {
               const tensor::Conv2dSpec& spec, bool per_channel = false);
 
   std::string kind() const override { return "qconv"; }
-  Tensor forward(const Tensor& x, bool training) override;
+  Shape output_shape(const Shape& in) const override;
+  void forward_into(const Tensor& in, Tensor& out,
+                    nn::Workspace& ws) override;
   Tensor backward(const Tensor& grad_output) override;
   std::unique_ptr<Layer> clone() const override;
 
@@ -105,7 +109,10 @@ class QuantBasicBlock : public Layer {
                   std::unique_ptr<Layer> proj_bn);         // nullable
 
   std::string kind() const override { return "qblock"; }
-  Tensor forward(const Tensor& x, bool training) override;
+  Shape output_shape(const Shape& in) const override;
+  /// nn::basic_block_forward_into over the quantized convs and float BNs.
+  void forward_into(const Tensor& in, Tensor& out,
+                    nn::Workspace& ws) override;
   Tensor backward(const Tensor& grad_output) override;
   std::unique_ptr<Layer> clone() const override;
 

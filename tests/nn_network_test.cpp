@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 
 #include "nn/builders.h"
@@ -211,6 +212,28 @@ TEST(Checkpoint, RejectsCorruptMagic) {
   }
   Network net = tiny_mlp();
   EXPECT_FALSE(load_checkpoint(net, path));
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, RejectsCorruptNameLength) {
+  Network net = tiny_mlp(10);
+  const std::string path = "/tmp/bdlfi_ckpt_name_len.bin";
+  ASSERT_TRUE(save_checkpoint(net, path));
+  {
+    // The first entry's name length follows the magic (8 bytes), the
+    // version (4) and the entry count (8).
+    FILE* f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    const std::uint32_t huge = 0xFFFFFFFFu;
+    ASSERT_EQ(std::fseek(f, 20, SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(&huge, sizeof huge, 1, f), 1u);
+    std::fclose(f);
+  }
+  Network other = tiny_mlp(11);
+  const Tensor before = *other.params().front().value;
+  EXPECT_FALSE(load_checkpoint(other, path));
+  EXPECT_EQ(Tensor::max_abs_diff(*other.params().front().value, before),
+            0.0f);
   std::remove(path.c_str());
 }
 

@@ -5,7 +5,11 @@
 //     (instrumented global allocator; small control-flow vectors under the
 //     4 KiB threshold are explicitly out of scope — see DESIGN.md §13);
 //   * steady-state mask evals allocate nothing large, including on a fresh
-//     replica whose evals all resume mid-network;
+//     replica whose evals all resume mid-network; neither do MC-dropout
+//     forwards;
+//   * stateful eval layers run on the plan once per forward: MC-dropout
+//     masks match a layer-by-layer loop on a clone, and a guard calibrates
+//     to exactly its input's range;
 //   * cloned networks compile independent plans with independent arenas;
 //   * planned execution is bit-exact with Layer::forward run layer by layer
 //     (full forwards and truncated replays from every resume point, on a
@@ -16,6 +20,7 @@
 //     the planned path for K ∈ {1, 8, 32}.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -28,8 +33,10 @@
 #include "data/toy2d.h"
 #include "nn/arena.h"
 #include "nn/builders.h"
+#include "nn/dropout.h"
 #include "nn/network.h"
 #include "nn/plan.h"
+#include "nn/range_guard.h"
 #include "util/rng.h"
 
 // ---------------------------------------------------------------------------
@@ -168,12 +175,23 @@ TEST(PlanTest, ArenaSizedAtHighWaterAndNeverRegrown) {
 }
 
 TEST(PlanTest, SteadyStateForwardsMakeNoLargeAllocations) {
-  Subject s = make_resnet_subject();
-  for (int i = 0; i < 3; ++i) (void)s.net.forward_view(0, s.inputs);  // warm
+  const auto check = [](nn::Network& net, const Tensor& inputs,
+                        int forwards) {
+    for (int i = 0; i < 3; ++i) (void)net.forward_view(0, inputs);  // warm
 
-  AllocWatch watch;
-  for (int i = 0; i < 1000; ++i) (void)s.net.forward_view(0, s.inputs);
-  EXPECT_EQ(watch.count(), 0u);
+    AllocWatch watch;
+    for (int i = 0; i < forwards; ++i) (void)net.forward_view(0, inputs);
+    EXPECT_EQ(watch.count(), 0u);
+  };
+  Subject s = make_resnet_subject();
+  check(s.net, s.inputs, 1000);
+
+  // MC dropout draws a fresh mask on every eval forward, inside its step.
+  util::Rng init{408};
+  nn::Network mc = nn::make_mlp_dropout({2, 64, 64, 2}, 0.3, init);
+  ASSERT_EQ(nn::set_mc_dropout(mc, true), 2u);
+  util::Rng data_rng{409};
+  check(mc, Tensor::randn(Shape{128, 2}, data_rng), 200);
 }
 
 TEST(PlanTest, SteadyStateMaskEvalsMakeNoLargeAllocations) {
@@ -205,6 +223,52 @@ TEST(PlanTest, SteadyStateMaskEvalsMakeNoLargeAllocations) {
   const std::unique_ptr<bayes::BayesianFaultNetwork> replica =
       late.replicate();
   check(*replica, 1e-3);
+}
+
+TEST(PlanTest, StatefulEvalLayersRunOnThePlan) {
+  util::Rng init{410};
+  nn::Network net = nn::make_mlp_dropout({2, 16, 16, 2}, 0.3, init);
+  ASSERT_EQ(nn::set_mc_dropout(net, true), 2u);
+  util::Rng data_rng{411};
+  const Tensor inputs = Tensor::randn(Shape{32, 2}, data_rng);
+
+  // The clone copies every dropout layer's RNG state, so a layer-by-layer
+  // loop on it draws what the plan draws — unless compiling the plan ran a
+  // layer, or a forward drew twice.
+  nn::Network reference = net.clone();
+  Tensor previous;
+  for (int pass = 0; pass < 5; ++pass) {
+    SCOPED_TRACE("forward " + std::to_string(pass));
+    Tensor want = inputs;
+    for (std::size_t i = 0; i < reference.num_layers(); ++i) {
+      want = reference.layer(i).forward(want, /*training=*/false);
+    }
+    const Tensor& got = net.forward_view(0, inputs);
+    ASSERT_NE(net.plan_for(inputs.shape()), nullptr);
+    expect_bitwise_equal(got, want);
+    // Each forward samples a new mask.
+    if (pass > 0) {
+      EXPECT_NE(Tensor::max_abs_diff(got, previous), 0.0f);
+    }
+    previous = got;
+  }
+
+  // Calibration runs on the plan too and records once per forward: the
+  // guard's range is exactly the range of layer 1's output over the batch.
+  util::Rng mlp_init{412};
+  nn::Network plain = nn::make_mlp({2, 16, 16, 2}, mlp_init);
+  Tensor relu1;
+  (void)plain.forward(inputs, false, [&](std::size_t i, Tensor& act) {
+    if (i == 1) relu1 = act;
+  });
+  nn::Network guarded = nn::add_range_guards_at(plain, {1}, inputs);
+  EXPECT_NE(guarded.plan_for(inputs.shape()), nullptr);
+  const auto* guard = dynamic_cast<nn::RangeGuard*>(&guarded.layer(2));
+  ASSERT_NE(guard, nullptr);
+  const auto [lo, hi] =
+      std::minmax_element(relu1.flat().begin(), relu1.flat().end());
+  EXPECT_EQ(guard->lo(), *lo);
+  EXPECT_EQ(guard->hi(), *hi);
 }
 
 TEST(PlanTest, ClonedNetworksOwnIndependentPlansAndArenas) {

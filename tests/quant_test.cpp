@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <span>
 
 #include "data/toy2d.h"
 #include "inject/random_fi.h"
@@ -123,6 +125,57 @@ TEST(QuantizeNetwork, ResnetConversionRuns) {
   nn::Network probe = qnet.clone();
   const auto refs = collect_quant_buffers(probe);
   EXPECT_EQ(refs.size(), 1u + 16u + 3u + 1u);
+}
+
+// Replaces every weight of `net` by its int8 round trip, calibrated the way
+// quantize_network calibrates it: one scale per tensor, or per output row.
+void round_trip_weights(nn::Network& net, bool per_channel) {
+  for (const nn::ParamRef& ref : net.params()) {
+    if (ref.role != nn::ParamRole::kWeight) continue;
+    const std::int64_t rows = per_channel ? ref.value->shape()[0] : 1;
+    const auto block = static_cast<std::size_t>(ref.value->numel() / rows);
+    for (std::int64_t r = 0; r < rows; ++r) {
+      const std::span<float> row =
+          ref.value->flat().subspan(static_cast<std::size_t>(r) * block, block);
+      const QuantParams params = calibrate_symmetric(row);
+      for (float& v : row) {
+        v = dequantize_value(quantize_value(v, params), params);
+      }
+    }
+  }
+}
+
+// The float network with round-tripped weights is the reference for the
+// quantized forward: same kernels, same order, same dequantized values.
+TEST(QuantizeNetwork, MatchesDequantizedFloatTwinBitExact) {
+  const auto check = [](nn::Network& net, const Tensor& x) {
+    for (const bool per_channel : {false, true}) {
+      SCOPED_TRACE(per_channel ? "per channel" : "per tensor");
+      nn::Network qnet = quantize_network(net, {per_channel});
+      nn::Network twin = net.clone();
+      round_trip_weights(twin, per_channel);
+      const Tensor want = twin.forward(x);
+      const Tensor got = qnet.forward(x);
+      ASSERT_EQ(got.shape(), want.shape());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            static_cast<std::size_t>(got.numel()) *
+                                sizeof(float)),
+                0);
+    }
+  };
+  util::Rng rng{12};
+  nn::Network mlp = nn::make_mlp({2, 16, 16, 3}, rng);
+  check(mlp, Tensor::randn(Shape{9, 2}, rng));
+
+  // Width 0.0625: the first stage's blocks keep the identity shortcut, each
+  // later stage opens with a projection block.
+  nn::ResNetConfig config;
+  config.width_multiplier = 0.0625;
+  config.num_classes = 4;
+  nn::Network resnet = nn::make_resnet18(config, rng);
+  const Tensor images = Tensor::randn(Shape{3, 3, 8, 8}, rng);
+  (void)resnet.forward(images, /*training=*/true);  // non-trivial BN moments
+  check(resnet, images);
 }
 
 TEST(QuantSpace, TotalsAndSelfInverseApply) {

@@ -191,7 +191,9 @@ TEST(Rng, StateFromStringRejectsMalformed) {
   EXPECT_FALSE(rng.state_from_string(good + ":0000000000000000"));
   std::string upper = good;
   for (char& c : upper) c = static_cast<char>(std::toupper(c));
-  if (upper != good) EXPECT_FALSE(rng.state_from_string(upper));
+  if (upper != good) {
+    EXPECT_FALSE(rng.state_from_string(upper));
+  }
   // A failed parse must leave the engine usable (state unchanged).
   Rng a{11}, b{11};
   EXPECT_FALSE(a.state_from_string("not-a-state"));
