@@ -1,8 +1,10 @@
 // Activation-fault campaign companion to Fig. 3: the paper's fault model also
 // covers "inputs, intermediate activations and outputs"; this bench injects
-// bit flips into each layer's output activation in flight (via the network's
-// activation hook — the no-system-support injection path of §I) and reports
-// per-layer output error, on the ResNet-18 subject.
+// bit flips into the network input and into each layer's output activation
+// in flight (the input and activation fault sites of BayesianFaultNetwork,
+// replayed from the golden activation cache — the no-system-support
+// injection path of §I) and reports per-layer output error, on the ResNet-18
+// subject.
 #include "common.h"
 #include "inject/activation.h"
 #include "util/ascii_plot.h"

@@ -61,7 +61,9 @@ done
 # slots too. The plan suite (arena sizing, steady-state reuse, planned vs
 # layer-by-layer parity, checked runs and stateful layers included), the
 # truncated-replay parity suite, the MCMC chains (replicas compiling their
-# own plans), the dropout, range-guard and quantized-layer suites and the
+# own plans), the activation campaigns (input and activation sites replayed
+# from the golden activation cache, flips staged into a copy of the replay
+# start), the dropout, range-guard and quantized-layer suites and the
 # mask-eval bench smoke get an explicit sanitized run per backend.
 for backend in scalar avx2; do
   if [ "$backend" = avx2 ] && ! grep -q avx2 /proc/cpuinfo 2>/dev/null; then
@@ -70,7 +72,22 @@ for backend in scalar avx2; do
   echo "=== eval-path suite under BDLFI_BACKEND=$backend ==="
   BDLFI_BACKEND="$backend" ctest --test-dir "$BUILD_DIR" \
     --output-on-failure \
-    -R 'PlanTest|Replay|McmcTest|perf_mask_eval|Dropout|RangeGuard|GuardedNetwork|Quantize|QuantDense|QuantSpace|QuantFault'
+    -R 'PlanTest|Replay|McmcTest|Activation|perf_mask_eval|Dropout|RangeGuard|GuardedNetwork|Quantize|QuantDense|QuantSpace|QuantFault'
+done
+
+# Targeted checkpoint-input pass: load_checkpoint turns JSON doubles into
+# counts, mask bits and RNG words, and a resume indexes chains and shifts
+# mask bits with them — the hostile-input surface of a campaign. The loader
+# tests (tampered documents included), the kill-and-resume and
+# resume-rejection tests, and the CLI checkpoint chain run sanitized per
+# backend.
+for backend in scalar avx2; do
+  if [ "$backend" = avx2 ] && ! grep -q avx2 /proc/cpuinfo 2>/dev/null; then
+    continue
+  fi
+  echo "=== checkpoint-input suite under BDLFI_BACKEND=$backend ==="
+  BDLFI_BACKEND="$backend" ctest --test-dir "$BUILD_DIR" \
+    --output-on-failure -R 'Checkpoint|ResilienceTest|cli_checkpoint_'
 done
 
 # Targeted flight-recorder pass: the incremental JSONL reader (per-poll

@@ -24,6 +24,52 @@ const char* fault_outcome_name(FaultOutcome outcome) {
   return "?";
 }
 
+void score_logits(const tensor::Tensor& logits,
+                  const std::vector<std::int64_t>& labels,
+                  const std::vector<std::int64_t>& golden_preds,
+                  MaskOutcome& outcome) {
+  const std::int64_t classes = logits.shape()[1];
+  const auto scan = tensor::backend::active().argmax_finite_row;
+  std::size_t miss = 0, dev = 0, detected = 0, sdc = 0;
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    const float* row = logits.data() + static_cast<std::int64_t>(i) * classes;
+    // One fused pass per row: argmax and NaN/Inf finiteness together, via
+    // the active kernel backend. The argmax matches tensor::argmax_rows — a
+    // NaN compare is false, so a NaN never displaces the incumbent.
+    std::int64_t best = 0;
+    bool finite = false;
+    scan(row, classes, &best, &finite);
+    const bool deviated = best != golden_preds[i];
+    if (best != labels[i]) ++miss;
+    if (deviated) ++dev;
+    if (!finite) {
+      ++detected;
+    } else if (deviated) {
+      ++sdc;
+    }
+  }
+  const auto n = static_cast<double>(labels.size());
+  outcome.classification_error = 100.0 * static_cast<double>(miss) / n;
+  outcome.deviation = 100.0 * static_cast<double>(dev) / n;
+  outcome.detected = 100.0 * static_cast<double>(detected) / n;
+  outcome.sdc = 100.0 * static_cast<double>(sdc) / n;
+
+  // Whole-evaluation taxonomy. Only real detection signals classify: ABFT
+  // rows flagged without recovery, or non-finite output logits. RangeGuard
+  // clamps are silent (telemetry only) and sub-tolerance compute flips that
+  // change nothing land in kMasked by construction.
+  const bool detector_fired = outcome.abft_detected_rows > 0 || detected > 0;
+  if (detector_fired) {
+    outcome.outcome = FaultOutcome::kDetected;
+  } else if (dev > 0) {
+    outcome.outcome = FaultOutcome::kSdc;
+  } else if (outcome.abft_corrected_rows > 0) {
+    outcome.outcome = FaultOutcome::kCorrected;
+  } else {
+    outcome.outcome = FaultOutcome::kMasked;
+  }
+}
+
 namespace {
 
 // Process-wide truncated-replay counters, aggregated across every instance
@@ -273,46 +319,7 @@ MaskOutcome BayesianFaultNetwork::evaluate_mask(const FaultMask& mask) {
       abft.faults_injected.load(std::memory_order_relaxed) - inj0;
   outcome.guard_corrections =
       has_guards_ ? nn::total_guard_corrections(net_) - guard0 : 0;
-  const std::int64_t classes = logits.shape()[1];
-  const auto scan = tensor::backend::active().argmax_finite_row;
-  std::size_t miss = 0, dev = 0, detected = 0, sdc = 0;
-  for (std::size_t i = 0; i < eval_labels_.size(); ++i) {
-    const float* row = logits.data() + static_cast<std::int64_t>(i) * classes;
-    // One fused pass per row: argmax and NaN/Inf finiteness together, via
-    // the active kernel backend. The argmax matches tensor::argmax_rows — a
-    // NaN compare is false, so a NaN never displaces the incumbent.
-    std::int64_t best = 0;
-    bool finite = false;
-    scan(row, classes, &best, &finite);
-    const bool deviated = best != golden_preds_[i];
-    if (best != eval_labels_[i]) ++miss;
-    if (deviated) ++dev;
-    if (!finite) {
-      ++detected;
-    } else if (deviated) {
-      ++sdc;
-    }
-  }
-  const auto n = static_cast<double>(eval_labels_.size());
-  outcome.classification_error = 100.0 * static_cast<double>(miss) / n;
-  outcome.deviation = 100.0 * static_cast<double>(dev) / n;
-  outcome.detected = 100.0 * static_cast<double>(detected) / n;
-  outcome.sdc = 100.0 * static_cast<double>(sdc) / n;
-
-  // Whole-evaluation taxonomy. Only real detection signals classify: ABFT
-  // rows flagged without recovery, or non-finite output logits. RangeGuard
-  // clamps are silent (telemetry above) and sub-tolerance compute flips that
-  // change nothing land in kMasked by construction.
-  const bool detector_fired = outcome.abft_detected_rows > 0 || detected > 0;
-  if (detector_fired) {
-    outcome.outcome = FaultOutcome::kDetected;
-  } else if (dev > 0) {
-    outcome.outcome = FaultOutcome::kSdc;
-  } else if (outcome.abft_corrected_rows > 0) {
-    outcome.outcome = FaultOutcome::kCorrected;
-  } else {
-    outcome.outcome = FaultOutcome::kMasked;
-  }
+  score_logits(logits, eval_labels_, golden_preds_, outcome);
   return outcome;
 }
 

@@ -80,6 +80,16 @@ struct MaskOutcome {
   std::uint64_t guard_corrections = 0;
 };
 
+/// Scores the output logits of one evaluation: one argmax-and-finiteness scan
+/// per row (the active backend's argmax_finite_row) against `labels` and
+/// `golden_preds`, the four rates, and the outcome class. ABFT counters
+/// already in `outcome` count as detection signals. Float and int8 fault
+/// networks both score through it.
+void score_logits(const tensor::Tensor& logits,
+                  const std::vector<std::int64_t>& labels,
+                  const std::vector<std::int64_t>& golden_preds,
+                  MaskOutcome& outcome);
+
 /// Configuration of the golden-activation cache behind truncated evaluation.
 struct EvalCacheConfig {
   /// Master switch; off forces every evaluation down the full-forward path.

@@ -250,21 +250,4 @@ double InjectionSpace::log_prior_toggle_delta(std::int64_t flat_bit,
   return std::log(pb) - std::log1p(-pb);
 }
 
-std::size_t corrupt_tensor(tensor::Tensor& t, const AvfProfile& profile,
-                           double p, util::Rng& rng) {
-  std::size_t flips = 0;
-  const std::int64_t n = t.numel();
-  for (int bit = 0; bit < kBitsPerWord; ++bit) {
-    const double pb = profile.bit_prob(bit, p);
-    if (pb <= 0.0) continue;
-    std::int64_t element = static_cast<std::int64_t>(rng.geometric(pb));
-    while (element < n) {
-      t[element] = flip_bit(t[element], bit);
-      ++flips;
-      element += 1 + static_cast<std::int64_t>(rng.geometric(pb));
-    }
-  }
-  return flips;
-}
-
 }  // namespace bdlfi::fault

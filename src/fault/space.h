@@ -33,8 +33,8 @@ struct TargetSpec {
   /// Expose the evaluation batch itself — §II's "memory units for storing
   /// ... inputs" — as fault sites of pseudo-layer -1.
   bool include_input = false;
-  /// Expose per-layer output activations (in-flight corruption, applied via
-  /// the forward hook during evaluation rather than by persistent XOR).
+  /// Expose per-layer output activations (in-flight corruption, applied by
+  /// the mask-evaluation pipeline rather than by persistent XOR).
   bool include_activations = false;
   /// Expose transient compute faults — upsets striking the MAC/accumulator
   /// results of GEMM-bearing layers (dense/conv) *during* the multiply,
@@ -135,6 +135,9 @@ class InjectionSpace {
   void apply_bits(std::span<const std::int64_t> flat_bits) const;
 
   /// Draws a mask with independent Bernoulli(profile.bit_prob(b, p)) flips.
+  /// Bit positions are drawn in order 0..31, each by geometric skipping along
+  /// the element axis, so a space of one input or activation tensor draws the
+  /// flips of one in-flight corruption of that tensor.
   FaultMask sample_mask(const AvfProfile& profile, double p,
                         util::Rng& rng) const;
 
@@ -167,11 +170,5 @@ class InjectionSpace {
   std::size_t num_layers_ = 0;
   std::vector<std::int64_t> protected_;  // sorted, unique
 };
-
-/// Corrupts an activation/input tensor in flight with Bernoulli bit flips —
-/// the paper's fault model applied to "inputs, intermediate activations and
-/// outputs". Returns the number of flipped bits.
-std::size_t corrupt_tensor(tensor::Tensor& t, const AvfProfile& profile,
-                           double p, util::Rng& rng);
 
 }  // namespace bdlfi::fault

@@ -13,13 +13,10 @@
 #include "obs/json.h"
 #include "obs/reporter.h"
 #include "tensor/backend/backend.h"
+#include "util/atomic_file.h"
 #include "util/interrupt.h"
 #include "util/log.h"
 #include "util/rng.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
 
 namespace bdlfi::fleet {
 
@@ -127,27 +124,6 @@ std::string result_document(const CampaignSpec& spec,
   w.end_array();
   w.end_object();
   return w.str();
-}
-
-bool write_atomic(const std::string& path, const std::string& content) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return false;
-  bool ok = std::fwrite(content.data(), 1, content.size(), f) ==
-            content.size();
-  ok = std::fputc('\n', f) != EOF && ok;
-  ok = std::fflush(f) == 0 && ok;
-#if defined(__unix__) || defined(__APPLE__)
-  if (ok) ok = ::fsync(fileno(f)) == 0;
-#endif
-  std::fclose(f);
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  return !ec;
 }
 
 }  // namespace
@@ -270,7 +246,8 @@ int run_worker(const CampaignSpec& spec, const WorkerPaths& paths,
                  result.rounds);
     return 5;
   }
-  if (!write_atomic(paths.result_path, result_document(spec, result))) {
+  if (!util::write_text_atomic(paths.result_path,
+                               result_document(spec, result))) {
     std::fprintf(stderr, "cannot write %s\n", paths.result_path.c_str());
     return 4;
   }

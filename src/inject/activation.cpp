@@ -1,71 +1,38 @@
 #include "inject/activation.h"
 
-#include <cmath>
-
-#include "tensor/ops.h"
+#include "bayes/fault_network.h"
 #include "util/check.h"
 #include "util/rng.h"
 
 namespace bdlfi::inject {
-
-namespace {
-
-struct InjectionTally {
-  std::size_t miss = 0, dev = 0, detected = 0;
-  std::size_t flips = 0;
-};
-
-InjectionTally measure(nn::Network& net, const tensor::Tensor& inputs,
-                       const std::vector<std::int64_t>& labels,
-                       const std::vector<std::int64_t>& golden_preds,
-                       const nn::Network::ActivationHook& hook,
-                       std::size_t flips) {
-  const tensor::Tensor logits = net.forward(inputs, false, hook);
-  const auto preds = tensor::argmax_rows(logits);
-  const std::int64_t classes = logits.shape()[1];
-  InjectionTally tally;
-  tally.flips = flips;
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    const float* row = logits.data() + static_cast<std::int64_t>(i) * classes;
-    bool finite = true;
-    for (std::int64_t c = 0; c < classes; ++c) {
-      if (!std::isfinite(row[c])) {
-        finite = false;
-        break;
-      }
-    }
-    if (!finite) ++tally.detected;
-    if (preds[i] != labels[i]) ++tally.miss;
-    if (preds[i] != golden_preds[i]) ++tally.dev;
-  }
-  return tally;
-}
-
-}  // namespace
 
 std::vector<ActivationLayerPoint> run_activation_campaign(
     const nn::Network& golden, const tensor::Tensor& eval_inputs,
     const std::vector<std::int64_t>& eval_labels,
     const ActivationCampaignConfig& config) {
   BDLFI_CHECK(config.injections > 0);
-  nn::Network net = golden.clone();
-  const auto golden_preds = net.predict(eval_inputs);
-  const auto n = static_cast<double>(eval_labels.size());
   util::Rng rng{config.seed};
-
   std::vector<ActivationLayerPoint> points;
-  auto summarize = [&](ActivationLayerPoint point,
-                       const std::vector<InjectionTally>& tallies) {
-    for (const auto& t : tallies) {
-      point.mean_error += static_cast<double>(t.miss);
-      point.mean_deviation += static_cast<double>(t.dev);
-      point.mean_detected += static_cast<double>(t.detected);
-      point.mean_flips += static_cast<double>(t.flips);
+
+  // One fault network per site, alive only while its injections run: each
+  // mask is drawn from and evaluated on the site's own injection space.
+  const auto run_site = [&](const fault::TargetSpec& spec,
+                            ActivationLayerPoint point) {
+    bayes::BayesianFaultNetwork bfn(golden, spec, config.profile, eval_inputs,
+                                    eval_labels);
+    point.activation_numel = bfn.space().total_elements();
+    for (std::size_t i = 0; i < config.injections; ++i) {
+      const bayes::MaskOutcome outcome =
+          bfn.evaluate_mask(bfn.sample_prior_mask(config.p, rng));
+      point.mean_error += outcome.classification_error;
+      point.mean_deviation += outcome.deviation;
+      point.mean_detected += outcome.detected;
+      point.mean_flips += static_cast<double>(outcome.flipped_bits);
     }
-    const auto m = static_cast<double>(tallies.size());
-    point.mean_error = 100.0 * point.mean_error / (m * n);
-    point.mean_deviation = 100.0 * point.mean_deviation / (m * n);
-    point.mean_detected = 100.0 * point.mean_detected / (m * n);
+    const auto m = static_cast<double>(config.injections);
+    point.mean_error /= m;
+    point.mean_deviation /= m;
+    point.mean_detected /= m;
     point.mean_flips /= m;
     points.push_back(std::move(point));
   };
@@ -75,39 +42,16 @@ std::vector<ActivationLayerPoint> run_activation_campaign(
     point.layer_index = -1;
     point.layer_name = "(input)";
     point.layer_kind = "input";
-    point.activation_numel = eval_inputs.numel();
-    std::vector<InjectionTally> tallies;
-    for (std::size_t i = 0; i < config.injections; ++i) {
-      tensor::Tensor corrupted = eval_inputs;
-      const std::size_t flips =
-          fault::corrupt_tensor(corrupted, config.profile, config.p, rng);
-      tallies.push_back(measure(net, corrupted, eval_labels, golden_preds,
-                                nullptr, flips));
-    }
-    summarize(std::move(point), tallies);
+    run_site(fault::TargetSpec::input_only(), std::move(point));
   }
-
-  for (std::size_t layer = 0; layer < net.num_layers(); ++layer) {
+  for (std::size_t layer = 0; layer < golden.num_layers(); ++layer) {
     ActivationLayerPoint point;
     point.layer_index = static_cast<std::int64_t>(layer);
-    point.layer_name = net.layer_name(layer);
-    point.layer_kind = net.layer_kind(layer);
-    std::vector<InjectionTally> tallies;
-    for (std::size_t i = 0; i < config.injections; ++i) {
-      std::size_t flips = 0;
-      nn::Network::ActivationHook hook =
-          [&](std::size_t idx, tensor::Tensor& act) {
-            if (idx != layer) return;
-            point.activation_numel = act.numel();
-            flips = fault::corrupt_tensor(act, config.profile, config.p, rng);
-          };
-      // `flips` is only known once the hook fires inside the forward pass,
-      // so it is patched into the tally afterwards.
-      tallies.push_back(measure(net, eval_inputs, eval_labels, golden_preds,
-                                hook, 0));
-      tallies.back().flips = flips;
-    }
-    summarize(std::move(point), tallies);
+    point.layer_name = golden.layer_name(layer);
+    point.layer_kind = golden.layer_kind(layer);
+    fault::TargetSpec spec = fault::TargetSpec::activations_only();
+    spec.layer_names = {point.layer_name};
+    run_site(spec, std::move(point));
   }
   return points;
 }

@@ -17,21 +17,17 @@
 #endif
 
 #include "obs/json.h"
+#include "obs/stream.h"
 #include "tensor/backend/backend.h"
+#include "util/atomic_file.h"
 #include "util/log.h"
+#include "util/rng.h"
 
 namespace bdlfi::mcmc {
 
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string hex64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
 
 bool parse_hex64(const std::string& text, std::uint64_t* out) {
   if (text.size() != 16) return false;
@@ -53,7 +49,7 @@ std::string words_to_string(const std::vector<std::uint64_t>& words) {
   out.reserve(words.size() * 17);
   for (std::size_t i = 0; i < words.size(); ++i) {
     if (i != 0) out.push_back(':');
-    out += hex64(words[i]);
+    out += obs::hex64(words[i]);
   }
   return out;
 }
@@ -73,13 +69,6 @@ bool words_from_string(const std::string& text,
     pos = sep + 1;
   }
   return true;
-}
-
-void fnv1a_mix(std::uint64_t& h, const std::string& s) {
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
 }
 
 void write_double_array(obs::JsonWriter& w, const std::string& key,
@@ -109,10 +98,18 @@ bool read_double_array(const obs::JsonValue& obj, const std::string& key,
   return true;
 }
 
+/// Counts, versions and mask bits travel as JSON numbers, i.e. doubles: only
+/// non-negative integers below 2^53 convert to an integer exactly.
+bool is_count(const obs::JsonValue& v) {
+  if (!v.is_number()) return false;
+  const double d = v.as_number();
+  return d >= 0.0 && d < 9007199254740992.0 && d == std::floor(d);
+}
+
 bool read_size(const obs::JsonValue& obj, const std::string& key,
                std::size_t* out) {
   const obs::JsonValue* v = obj.find(key);
-  if (v == nullptr || !v->is_number()) return false;
+  if (v == nullptr || !is_count(*v)) return false;
   *out = static_cast<std::size_t>(v->as_number());
   return true;
 }
@@ -151,7 +148,7 @@ std::uint64_t campaign_fingerprint(const bayes::BayesianFaultNetwork& golden,
       config.mh.w_independence, config.mh.block_size, config.gibbs.samples,
       config.gibbs.burn_in, config.gibbs.coordinates_per_sweep, p,
       static_cast<long long>(golden.space().total_bits()), golden.eval_size(),
-      hex64(std::bit_cast<std::uint64_t>(golden.golden_error())).c_str(),
+      obs::hex64(std::bit_cast<std::uint64_t>(golden.golden_error())).c_str(),
       tensor::backend::active_name(),
       static_cast<int>(golden.network().abft().mode));
   std::string canonical(buf);
@@ -167,9 +164,7 @@ std::uint64_t campaign_fingerprint(const bayes::BayesianFaultNetwork& golden,
       canonical += std::to_string(restricted[i]);
     }
   }
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a 64 offset basis
-  fnv1a_mix(h, canonical);
-  return h;
+  return obs::fnv1a64(canonical);
 }
 
 std::string checkpoint_path(const std::string& dir) {
@@ -283,7 +278,7 @@ bool save_checkpoint(const std::string& path, const CampaignCheckpoint& ck) {
   w.begin_object();
   w.field("schema", kCheckpointSchema);
   w.field("version", kCheckpointVersion);
-  w.field("fingerprint", hex64(ck.fingerprint));
+  w.field("fingerprint", obs::hex64(ck.fingerprint));
   w.field("backend", ck.backend);
   w.field_exact("p", ck.p);
   w.field("rounds_completed", static_cast<std::uint64_t>(ck.rounds_completed));
@@ -348,30 +343,8 @@ bool save_checkpoint(const std::string& path, const CampaignCheckpoint& ck) {
   std::error_code ec;
   const fs::path target(path);
   if (target.has_parent_path()) fs::create_directories(target.parent_path(), ec);
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) {
-    BDLFI_LOG_WARN("checkpoint: cannot open %s for writing", tmp.c_str());
-    return false;
-  }
-  const std::string& doc = w.str();
-  const bool wrote =
-      std::fwrite(doc.data(), 1, doc.size(), f) == doc.size() &&
-      std::fputc('\n', f) != EOF && std::fflush(f) == 0;
-#if defined(__unix__) || defined(__APPLE__)
-  if (wrote) ::fsync(fileno(f));
-#endif
-  std::fclose(f);
-  if (!wrote) {
-    std::remove(tmp.c_str());
-    BDLFI_LOG_WARN("checkpoint: short write to %s", tmp.c_str());
-    return false;
-  }
-  // rename() is atomic within a filesystem: readers see either the previous
-  // complete checkpoint or this one, never a torn file.
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    BDLFI_LOG_WARN("checkpoint: rename to %s failed", path.c_str());
+  if (!util::write_text_atomic(path, w.str())) {
+    BDLFI_LOG_WARN("checkpoint: cannot write %s", path.c_str());
     return false;
   }
   return true;
@@ -398,7 +371,7 @@ std::optional<CampaignCheckpoint> load_checkpoint(const std::string& path,
     return fail("not a campaign checkpoint");
   }
   const obs::JsonValue* version = doc->find("version");
-  if (version == nullptr || !version->is_number()) {
+  if (version == nullptr || !is_count(*version)) {
     return fail("unsupported checkpoint version");
   }
   const auto ver = static_cast<std::uint64_t>(version->as_number());
@@ -415,7 +388,9 @@ std::optional<CampaignCheckpoint> load_checkpoint(const std::string& path,
   // Optional for back-compat: pre-backend checkpoints were always scalar.
   const obs::JsonValue* backend = doc->find("backend");
   if (backend != nullptr) {
-    if (!backend->is_string()) return fail("invalid backend field");
+    if (!backend->is_string() || backend->as_string().empty()) {
+      return fail("invalid backend field");
+    }
     ck.backend = backend->as_string();
   }
   if (!read_double(*doc, "p", &ck.p) ||
@@ -449,7 +424,8 @@ std::optional<CampaignCheckpoint> load_checkpoint(const std::string& path,
   const obs::JsonValue* chains = doc->find("chains");
   if (chains == nullptr || !chains->is_array()) return fail("missing chains");
   for (const auto& entry : chains->as_array()) {
-    if (!entry.is_object()) return fail("malformed chain entry");
+    const std::string at = "chain " + std::to_string(ck.chains.size());
+    if (!entry.is_object()) return fail("malformed " + at);
     ChainResult chain;
     ChainHealth health;
     ChainCursor cursor;
@@ -474,41 +450,66 @@ std::optional<CampaignCheckpoint> load_checkpoint(const std::string& path,
         !read_double_array(entry, "deviation_samples",
                            &chain.deviation_samples) ||
         !read_double_array(entry, "flips_samples", &chain.flips_samples)) {
-      return fail("malformed chain entry");
+      return fail("malformed " + at + " entry");
+    }
+    if (health.chain != ck.chains.size()) {
+      return fail(at + " entry claims to be chain " +
+                  std::to_string(health.chain));
+    }
+    if (chain.deviation_samples.size() != chain.error_samples.size() ||
+        chain.flips_samples.size() != chain.error_samples.size()) {
+      return fail(at + ": sample arrays have different lengths");
     }
     const obs::JsonValue* status = entry.find("status");
     if (status == nullptr || !status->is_string() ||
         !chain_status_from_string(status->as_string(), &health.status)) {
-      return fail("invalid chain status");
+      return fail("invalid " + at + " status");
     }
     const obs::JsonValue* last_failure = entry.find("last_failure");
     if (last_failure != nullptr && last_failure->is_string()) {
       health.last_failure = last_failure->as_string();
     }
     const obs::JsonValue* cur = entry.find("cursor");
-    if (cur == nullptr) return fail("missing cursor");
+    if (cur == nullptr) return fail(at + ": missing cursor");
     if (cur->is_object()) {
       const obs::JsonValue* rng = cur->find("rng");
       const obs::JsonValue* mask = cur->find("mask");
       if (rng == nullptr || !rng->is_string() ||
           !words_from_string(rng->as_string(), &cursor.rng_state) ||
           mask == nullptr || !mask->is_array()) {
-        return fail("malformed cursor");
+        return fail(at + ": malformed cursor");
+      }
+      if (util::Rng probe{0}; !probe.state_load(cursor.rng_state)) {
+        return fail(at + ": cursor rng is not an engine state");
       }
       std::vector<std::int64_t> bits;
       bits.reserve(mask->as_array().size());
       for (const auto& bit : mask->as_array()) {
-        if (!bit.is_number()) return fail("malformed cursor mask");
+        if (!is_count(bit)) return fail(at + ": malformed cursor mask");
         bits.push_back(static_cast<std::int64_t>(bit.as_number()));
       }
       cursor.mask = FaultMask(std::move(bits));
       cursor.valid = true;
     } else if (!cur->is_null()) {
-      return fail("malformed cursor");
+      return fail(at + ": malformed cursor");
     }
     ck.chains.push_back(std::move(chain));
     ck.cursors.push_back(std::move(cursor));
     ck.health.push_back(std::move(health));
+  }
+  // Healthy chains advance in lockstep, one round at a time; streams of
+  // different lengths cannot come from one campaign.
+  std::optional<std::size_t> first_healthy;
+  for (std::size_t c = 0; c < ck.chains.size(); ++c) {
+    if (ck.health[c].status != ChainStatus::healthy) continue;
+    if (!first_healthy.has_value()) first_healthy = c;
+    const std::size_t n = ck.chains[c].error_samples.size();
+    const std::size_t n0 = ck.chains[*first_healthy].error_samples.size();
+    if (n != n0) {
+      return fail("healthy chains " + std::to_string(*first_healthy) +
+                  " and " + std::to_string(c) + " hold " + std::to_string(n0) +
+                  " and " + std::to_string(n) + " samples");
+    }
   }
   return ck;
 }

@@ -17,14 +17,22 @@ inline bool pathological_logd(double logd) {
   return std::isnan(logd) || (std::isinf(logd) && logd > 0.0);
 }
 
-// Sampler-level counters shared by all chains; registered once.
+// Chain-loop counters shared by every chain of either sampler.
+struct ChainMetrics {
+  obs::Counter& samples = obs::MetricsRegistry::global().counter("mcmc.samples");
+  obs::Counter& evals =
+      obs::MetricsRegistry::global().counter("mcmc.network_evals");
+  static ChainMetrics& get() {
+    static ChainMetrics m;
+    return m;
+  }
+};
+
+// MH proposal counters shared by all MH chains; registered once.
 struct MhMetrics {
   obs::Counter& proposals =
       obs::MetricsRegistry::global().counter("mcmc.proposals");
   obs::Counter& accepts = obs::MetricsRegistry::global().counter("mcmc.accepts");
-  obs::Counter& samples = obs::MetricsRegistry::global().counter("mcmc.samples");
-  obs::Counter& evals =
-      obs::MetricsRegistry::global().counter("mcmc.network_evals");
   static MhMetrics& get() {
     static MhMetrics m;
     return m;
@@ -32,6 +40,84 @@ struct MhMetrics {
 };
 
 }  // namespace
+
+ChainResult run_chain(bayes::BayesianFaultNetwork& net,
+                      bayes::MaskTarget& target, double p,
+                      const ChainConfig& config, std::size_t thin,
+                      const Transition& transition) {
+  const bayes::EvalStats stats_base = net.eval_stats();
+  util::Rng rng{config.seed};
+
+  ChainResult result;
+  FaultMask current;
+  if (config.resume) {
+    BDLFI_CHECK_MSG(rng.state_load(config.resume_rng),
+                    "invalid resume RNG state");
+    current = config.resume_mask;
+  } else {
+    current = net.sample_prior_mask(p, rng);
+  }
+  double current_logd = target.log_density(current);
+  if (target.requires_network_eval()) ++result.network_evals;
+  if (pathological_logd(current_logd)) result.diverged = true;
+
+  result.error_samples.reserve(config.samples);
+  result.deviation_samples.reserve(config.samples);
+  result.flips_samples.reserve(config.samples);
+
+  // Clock reads only happen when the watchdog is armed, so the default
+  // configuration costs nothing on the hot path.
+  const bool watchdog = config.round_timeout_ms > 0.0;
+  util::Stopwatch watch;
+  // One transition; false once the watchdog has fired.
+  const auto advance = [&] {
+    transition(current, current_logd, rng, result);
+    if (watchdog && watch.millis() > config.round_timeout_ms) {
+      result.timed_out = true;
+    }
+    return !result.timed_out;
+  };
+  if (!config.resume) {
+    for (std::size_t i = 0; i < config.burn_in; ++i) {
+      if (!advance()) break;
+    }
+  }
+  for (std::size_t s = 0; !result.timed_out && s < config.samples; ++s) {
+    if (util::interrupt_requested()) {
+      result.interrupted = true;
+      break;
+    }
+    for (std::size_t t = 0; t < thin; ++t) {
+      if (!advance()) break;
+    }
+    if (result.timed_out) break;
+    const bayes::MaskOutcome outcome = net.evaluate_mask(current);
+    ++result.network_evals;
+    result.error_samples.push_back(outcome.classification_error);
+    result.deviation_samples.push_back(outcome.deviation);
+    result.flips_samples.push_back(static_cast<double>(outcome.flipped_bits));
+    switch (outcome.outcome) {
+      case bayes::FaultOutcome::kMasked: ++result.outcome_masked; break;
+      case bayes::FaultOutcome::kSdc: ++result.outcome_sdc; break;
+      case bayes::FaultOutcome::kDetected: ++result.outcome_detected; break;
+      case bayes::FaultOutcome::kCorrected: ++result.outcome_corrected; break;
+    }
+    if (config.record_masks) result.mask_samples.push_back(current);
+  }
+  if (obs::enabled()) {
+    ChainMetrics& m = ChainMetrics::get();
+    m.samples.add(result.error_samples.size());
+    m.evals.add(result.network_evals);
+  }
+  result.rng_state = rng.state_save();
+  result.final_mask = std::move(current);
+  const bayes::EvalStats& stats = net.eval_stats();
+  result.full_evals = stats.full_evals - stats_base.full_evals;
+  result.truncated_evals = stats.truncated_evals - stats_base.truncated_evals;
+  result.layers_run = stats.layers_run - stats_base.layers_run;
+  result.layers_total = stats.layers_total - stats_base.layers_total;
+  return result;
+}
 
 MhSampler::MhSampler(bayes::BayesianFaultNetwork& net,
                      bayes::MaskTarget& target, double p,
@@ -54,8 +140,8 @@ ProposalKernel& MhSampler::pick_kernel(util::Rng& rng) {
   return indep_;
 }
 
-bool MhSampler::step(FaultMask& current, double& current_logd,
-                     util::Rng& rng) {
+void MhSampler::step(FaultMask& current, double& current_logd,
+                     util::Rng& rng, ChainResult& result) {
   ProposalKernel& kernel = pick_kernel(rng);
   Proposal proposal = kernel.propose(current, net_, p_, rng);
   ++proposed_;
@@ -73,7 +159,7 @@ bool MhSampler::step(FaultMask& current, double& current_logd,
       m.proposals.add();
       m.accepts.add();
     }
-    return true;
+    return;
   }
   std::optional<double> analytic;
   if (delta_bits.size() == 1) {
@@ -82,16 +168,13 @@ bool MhSampler::step(FaultMask& current, double& current_logd,
   if (analytic.has_value()) {
     log_alpha = *analytic + proposal.log_q_ratio;
     next_logd = current_logd + *analytic;
-  } else if (!target_.requires_network_eval()) {
-    next_logd = target_.log_density(proposal.next);
-    log_alpha = next_logd - current_logd + proposal.log_q_ratio;
   } else {
     next_logd = target_.log_density(proposal.next);
-    ++network_evals_;
+    if (target_.requires_network_eval()) ++result.network_evals;
     log_alpha = next_logd - current_logd + proposal.log_q_ratio;
   }
 
-  if (pathological_logd(next_logd)) diverged_ = true;
+  if (pathological_logd(next_logd)) result.diverged = true;
 
   const bool accepted =
       log_alpha >= 0.0 || std::log(rng.uniform() + 1e-300) < log_alpha;
@@ -105,93 +188,16 @@ bool MhSampler::step(FaultMask& current, double& current_logd,
     m.proposals.add();
     if (accepted) m.accepts.add();
   }
-  return accepted;
 }
 
 ChainResult MhSampler::run() {
-  const bayes::EvalStats stats_base = net_.eval_stats();
-  util::Rng rng{config_.seed};
-
-  ChainResult result;
-  FaultMask current;
-  if (config_.resume) {
-    BDLFI_CHECK_MSG(rng.state_load(config_.resume_rng),
-                    "invalid resume RNG state");
-    current = config_.resume_mask;
-  } else {
-    current = net_.sample_prior_mask(p_, rng);
-  }
-  double current_logd = target_.log_density(current);
-  if (target_.requires_network_eval()) ++network_evals_;
-  if (pathological_logd(current_logd)) diverged_ = true;
-
-  result.error_samples.reserve(config_.samples);
-  result.deviation_samples.reserve(config_.samples);
-  result.flips_samples.reserve(config_.samples);
-
-  const auto record = [&](const FaultMask& mask) {
-    const bayes::MaskOutcome outcome = net_.evaluate_mask(mask);
-    ++network_evals_;
-    result.error_samples.push_back(outcome.classification_error);
-    result.deviation_samples.push_back(outcome.deviation);
-    result.flips_samples.push_back(static_cast<double>(outcome.flipped_bits));
-    switch (outcome.outcome) {
-      case bayes::FaultOutcome::kMasked: ++result.outcome_masked; break;
-      case bayes::FaultOutcome::kSdc: ++result.outcome_sdc; break;
-      case bayes::FaultOutcome::kDetected: ++result.outcome_detected; break;
-      case bayes::FaultOutcome::kCorrected: ++result.outcome_corrected; break;
-    }
-  };
-
-  // Clock reads only happen when the watchdog is armed, so the default
-  // configuration costs nothing on the hot path.
-  const bool watchdog = config_.round_timeout_ms > 0.0;
-  util::Stopwatch watch;
-  bool aborted = false;
-  if (!config_.resume) {
-    for (std::size_t i = 0; i < config_.burn_in; ++i) {
-      step(current, current_logd, rng);
-      if (watchdog && watch.millis() > config_.round_timeout_ms) {
-        result.timed_out = true;
-        aborted = true;
-        break;
-      }
-    }
-  }
-  for (std::size_t s = 0; !aborted && s < config_.samples; ++s) {
-    if (util::interrupt_requested()) {
-      result.interrupted = true;
-      break;
-    }
-    for (std::size_t t = 0; t < config_.thin; ++t) {
-      step(current, current_logd, rng);
-      if (watchdog && watch.millis() > config_.round_timeout_ms) {
-        result.timed_out = true;
-        aborted = true;
-        break;
-      }
-    }
-    if (aborted) break;
-    record(current);
-    if (config_.record_masks) result.mask_samples.push_back(current);
-  }
-  if (obs::enabled()) {
-    MhMetrics& m = MhMetrics::get();
-    m.samples.add(result.error_samples.size());
-    m.evals.add(network_evals_);
-  }
+  ChainResult result = run_chain(
+      net_, target_, p_, config_, config_.thin,
+      [this](FaultMask& current, double& logd, util::Rng& rng,
+             ChainResult& r) { step(current, logd, rng, r); });
   result.acceptance_rate =
       proposed_ ? static_cast<double>(accepted_) / static_cast<double>(proposed_)
                 : 0.0;
-  result.network_evals = network_evals_;
-  result.diverged = diverged_;
-  result.rng_state = rng.state_save();
-  result.final_mask = current;
-  const bayes::EvalStats& stats = net_.eval_stats();
-  result.full_evals = stats.full_evals - stats_base.full_evals;
-  result.truncated_evals = stats.truncated_evals - stats_base.truncated_evals;
-  result.layers_run = stats.layers_run - stats_base.layers_run;
-  result.layers_total = stats.layers_total - stats_base.layers_total;
   return result;
 }
 

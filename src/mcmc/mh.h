@@ -1,11 +1,17 @@
-// Metropolis–Hastings sampler over fault masks (one chain).
+// Metropolis–Hastings sampler over fault masks (one chain), and the chain
+// loop every sampler runs on.
 //
 // The chain state is a FaultMask; retained samples record the classification
 // error / golden-deviation of the corrupted network under the current mask —
 // the statistic whose distribution the paper's Fig. 1-③ histogram shows and
-// whose mean the Fig. 2/4 sweeps plot.
+// whose mean the Fig. 2/4 sweeps plot. run_chain owns everything a chain
+// does besides moving: seeding or resuming, burn-in, the retained loop with
+// its interrupt and watchdog checks, and evaluating and tallying each
+// retained state. A sampler is a transition kernel handed to it: an MH step
+// (MhSampler) or a Gibbs sweep (GibbsSampler).
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -14,22 +20,15 @@
 
 namespace bdlfi::mcmc {
 
-struct MhConfig {
+/// The chain-loop settings every sampler shares.
+struct ChainConfig {
   std::size_t samples = 200;     // retained samples
-  std::size_t burn_in = 50;      // discarded leading steps
-  std::size_t thin = 1;          // steps between retained samples
-  /// Relative selection weights of the three kernels.
-  double w_single_toggle = 0.5;
-  double w_block_resample = 0.3;
-  double w_independence = 0.2;
-  std::size_t block_size = 8;
-  /// Ignored: retained samples are evaluated inline, one mask at a time.
-  /// Kept so existing callers that set it still compile.
-  std::size_t mask_batch = 8;
+  std::size_t burn_in = 50;      // discarded leading transitions
   std::uint64_t seed = 1;
   /// Cooperative wall-clock watchdog: when > 0, the run abandons (result
-  /// flagged timed_out) once this many milliseconds elapse. Checked between
-  /// steps; a single wedged forward pass cannot be preempted.
+  /// flagged timed_out) once this many milliseconds elapse. Checked after
+  /// each transition (an MH step, a Gibbs sweep); a single wedged forward
+  /// pass cannot be preempted.
   double round_timeout_ms = 0.0;
   /// Cross-round continuation (set by the campaign runner / checkpoint
   /// resume): restore the RNG engine from `resume_rng` and continue from
@@ -44,6 +43,18 @@ struct MhConfig {
   /// not persist them (a profile-bound campaign runs within one process;
   /// cross-round accumulation in-process works normally).
   bool record_masks = false;
+};
+
+struct MhConfig : ChainConfig {
+  std::size_t thin = 1;          // steps between retained samples
+  /// Relative selection weights of the three kernels.
+  double w_single_toggle = 0.5;
+  double w_block_resample = 0.3;
+  double w_independence = 0.2;
+  std::size_t block_size = 8;
+  /// Ignored: retained samples are evaluated inline, one mask at a time.
+  /// Kept so existing callers that set it still compile.
+  std::size_t mask_batch = 8;
 };
 
 struct ChainResult {
@@ -75,9 +86,24 @@ struct ChainResult {
   std::vector<std::uint64_t> rng_state;
   FaultMask final_mask;
   /// Retained masks, parallel to the sample vectors; populated only when
-  /// MhConfig/GibbsConfig::record_masks is set. Not checkpointed.
+  /// ChainConfig::record_masks is set. Not checkpointed.
   std::vector<FaultMask> mask_samples;
 };
+
+/// One transition of a chain: moves `current` (whose log density is `logd`)
+/// in place, drawing from `rng`, and counts its own forward passes and any
+/// divergence into the result.
+using Transition = std::function<void(FaultMask& current, double& logd,
+                                      util::Rng& rng, ChainResult& result)>;
+
+/// Runs one chain: seeds (or restores the cursor), evaluates the initial
+/// density, burns in (fresh chains only), then takes `thin` transitions per
+/// retained sample and evaluates and tallies each retained state. `net` is
+/// mutated during sampling but golden again on return.
+ChainResult run_chain(bayes::BayesianFaultNetwork& net,
+                      bayes::MaskTarget& target, double p,
+                      const ChainConfig& config, std::size_t thin,
+                      const Transition& transition);
 
 class MhSampler {
  public:
@@ -89,7 +115,8 @@ class MhSampler {
   ChainResult run();
 
  private:
-  bool step(FaultMask& current, double& current_logd, util::Rng& rng);
+  void step(FaultMask& current, double& current_logd, util::Rng& rng,
+            ChainResult& result);
   ProposalKernel& pick_kernel(util::Rng& rng);
 
   bayes::BayesianFaultNetwork& net_;
@@ -101,8 +128,6 @@ class MhSampler {
   IndependenceKernel indep_;
   std::size_t accepted_ = 0;
   std::size_t proposed_ = 0;
-  std::size_t network_evals_ = 0;
-  bool diverged_ = false;
 };
 
 }  // namespace bdlfi::mcmc

@@ -126,31 +126,20 @@ std::vector<ChainResult> run_round(const bayes::BayesianFaultNetwork& golden,
       }
       auto replica = golden.replicate();
       auto target = make_target(*replica, c);
-      ChainResult r;
-      const bool continue_cursor = attempt == 0 && cursors[c].valid;
-      if (config.use_gibbs) {
-        GibbsConfig gc = config.gibbs;
-        gc.seed = chain_seed(config.seed, round, c, attempt);
-        gc.round_timeout_ms = config.supervisor.round_timeout_ms;
-        if (continue_cursor) {
-          gc.resume = true;
-          gc.resume_rng = cursors[c].rng_state;
-          gc.resume_mask = cursors[c].mask;
-        }
-        GibbsSampler sampler(*replica, *target, p, gc);
-        r = sampler.run();
-      } else {
-        MhConfig mc = config.mh;
-        mc.seed = chain_seed(config.seed, round, c, attempt);
-        mc.round_timeout_ms = config.supervisor.round_timeout_ms;
-        if (continue_cursor) {
-          mc.resume = true;
-          mc.resume_rng = cursors[c].rng_state;
-          mc.resume_mask = cursors[c].mask;
-        }
-        MhSampler sampler(*replica, *target, p, mc);
-        r = sampler.run();
+      MhConfig mc = config.mh;
+      GibbsConfig gc = config.gibbs;
+      ChainConfig& chain = config.use_gibbs ? static_cast<ChainConfig&>(gc)
+                                            : static_cast<ChainConfig&>(mc);
+      chain.seed = chain_seed(config.seed, round, c, attempt);
+      chain.round_timeout_ms = config.supervisor.round_timeout_ms;
+      if (attempt == 0 && cursors[c].valid) {
+        chain.resume = true;
+        chain.resume_rng = cursors[c].rng_state;
+        chain.resume_mask = cursors[c].mask;
       }
+      ChainResult r = config.use_gibbs
+                          ? GibbsSampler(*replica, *target, p, gc).run()
+                          : MhSampler(*replica, *target, p, mc).run();
       if (r.interrupted) {
         chains[c] = std::move(r);
         return;
@@ -331,6 +320,22 @@ CompletenessResult run_until_complete_impl(
           "checkpoint fingerprint mismatch: different config/seed/network";
       BDLFI_LOG_ERROR("resume rejected: fingerprint mismatch (%s)",
                       ckpt_path.c_str());
+      return result;
+    }
+    // A matching fingerprint pins the space size, so a cursor bit outside
+    // the space can only come from an edited file.
+    const std::int64_t total_bits = golden.space().total_bits();
+    for (std::size_t c = 0; c < ck->cursors.size(); ++c) {
+      const auto& bits = ck->cursors[c].mask.bits();
+      if (bits.empty() || bits.back() < total_bits) continue;
+      result.resume_rejected = true;
+      result.final_result.failed = true;
+      result.final_result.fail_reason =
+          "checkpoint chain " + std::to_string(c) + " cursor holds bit " +
+          std::to_string(bits.back()) + ", outside the " +
+          std::to_string(total_bits) + "-bit fault space";
+      BDLFI_LOG_ERROR("resume rejected: %s",
+                      result.final_result.fail_reason.c_str());
       return result;
     }
     cumulative = std::move(ck->chains);

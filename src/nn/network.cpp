@@ -21,6 +21,7 @@ void Network::add(std::string name, std::unique_ptr<Layer> layer) {
     BDLFI_CHECK_MSG(e.name != name, "duplicate layer name");
   }
   layers_.push_back({std::move(name), std::move(layer)});
+  plans_.clear();
 }
 
 Tensor Network::forward(const Tensor& x, bool training,
@@ -175,16 +176,13 @@ Network Network::clone() const {
   return copy;
 }
 
-std::vector<std::int64_t> Network::predict(const Tensor& x,
-                                           const ActivationHook& hook) {
-  Tensor logits = forward(x, /*training=*/false, hook);
-  return tensor::argmax_rows(logits);
+std::vector<std::int64_t> Network::predict(const Tensor& x) {
+  return tensor::argmax_rows(forward(x, /*training=*/false));
 }
 
 double Network::accuracy(const Tensor& x,
-                         const std::vector<std::int64_t>& labels,
-                         const ActivationHook& hook) {
-  const auto preds = predict(x, hook);
+                         const std::vector<std::int64_t>& labels) {
+  const auto preds = predict(x);
   BDLFI_CHECK(preds.size() == labels.size());
   std::size_t hits = 0;
   for (std::size_t i = 0; i < preds.size(); ++i) {

@@ -1,6 +1,6 @@
 // Network: an ordered container of layers with end-to-end forward/backward,
 // stable parameter enumeration, deep cloning, and per-layer activation hooks
-// used by the fault injector to corrupt intermediate activations in flight.
+// that BayesianFaultNetwork uses to corrupt activation fault sites in flight.
 #pragma once
 
 #include <functional>
@@ -30,7 +30,8 @@ class Network {
   Network& operator=(const Network&) = delete;
 
   /// Appends a layer with an explicit name (names must be unique; they anchor
-  /// fault-site addressing and checkpoint matching).
+  /// fault-site addressing and checkpoint matching). Drops the compiled
+  /// plans, which end at the old last layer.
   void add(std::string name, std::unique_ptr<Layer> layer);
 
   std::size_t num_layers() const { return layers_.size(); }
@@ -106,12 +107,10 @@ class Network {
   Network clone() const;
 
   /// Class predictions (argmax of logits) for a batch.
-  std::vector<std::int64_t> predict(const Tensor& x,
-                                    const ActivationHook& hook = nullptr);
+  std::vector<std::int64_t> predict(const Tensor& x);
 
   /// Fraction of rows of `x` whose argmax equals `labels`.
-  double accuracy(const Tensor& x, const std::vector<std::int64_t>& labels,
-                  const ActivationHook& hook = nullptr);
+  double accuracy(const Tensor& x, const std::vector<std::int64_t>& labels);
 
   /// One-line-per-layer summary (name, kind, #params).
   std::string summary();

@@ -1,9 +1,7 @@
 #include "quant/space.h"
 
 #include <algorithm>
-#include <cmath>
 
-#include "tensor/ops.h"
 #include "util/check.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
@@ -78,37 +76,11 @@ std::unique_ptr<QuantFaultNetwork> QuantFaultNetwork::replicate() const {
 bayes::MaskOutcome QuantFaultNetwork::evaluate_mask(
     const fault::FaultMask& mask) {
   space_->apply(mask);
-  const tensor::Tensor logits = net_.forward(eval_inputs_);
+  const tensor::Tensor& logits = net_.forward_view(0, eval_inputs_);
   space_->apply(mask);
-  const auto preds = tensor::argmax_rows(logits);
-
   bayes::MaskOutcome outcome;
   outcome.flipped_bits = mask.num_flips();
-  const std::int64_t classes = logits.shape()[1];
-  std::size_t miss = 0, dev = 0, detected = 0, sdc = 0;
-  for (std::size_t i = 0; i < eval_labels_.size(); ++i) {
-    const float* row = logits.data() + static_cast<std::int64_t>(i) * classes;
-    bool finite = true;
-    for (std::int64_t c = 0; c < classes; ++c) {
-      if (!std::isfinite(row[c])) {
-        finite = false;
-        break;
-      }
-    }
-    const bool deviated = preds[i] != golden_preds_[i];
-    if (preds[i] != eval_labels_[i]) ++miss;
-    if (deviated) ++dev;
-    if (!finite) {
-      ++detected;
-    } else if (deviated) {
-      ++sdc;
-    }
-  }
-  const auto n = static_cast<double>(eval_labels_.size());
-  outcome.classification_error = 100.0 * static_cast<double>(miss) / n;
-  outcome.deviation = 100.0 * static_cast<double>(dev) / n;
-  outcome.detected = 100.0 * static_cast<double>(detected) / n;
-  outcome.sdc = 100.0 * static_cast<double>(sdc) / n;
+  bayes::score_logits(logits, eval_labels_, golden_preds_, outcome);
   return outcome;
 }
 

@@ -10,7 +10,7 @@
 
 #include <memory>
 
-#include "bayes/fault_network.h"  // reuses MaskOutcome taxonomy
+#include "bayes/fault_network.h"  // MaskOutcome + score_logits
 #include "fault/mask.h"
 #include "quant/convert.h"
 #include "util/rng.h"
@@ -47,7 +47,8 @@ class QuantInjectionSpace {
 };
 
 /// Quantized analogue of BayesianFaultNetwork: owns a deep copy of the
-/// quantized golden network, measures mask outcomes with the same taxonomy.
+/// quantized golden network and scores each mask's logits with
+/// bayes::score_logits, the float path's scorer.
 class QuantFaultNetwork {
  public:
   QuantFaultNetwork(const nn::Network& quantized_golden,

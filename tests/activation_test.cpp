@@ -1,10 +1,15 @@
-// Activation-fault campaign: hook-based in-flight corruption, taxonomy
-// accounting, layer coverage, and golden-state isolation.
+// Activation-fault campaign: input/activation fault sites against in-flight
+// corruption, taxonomy accounting, layer coverage, and golden-state
+// isolation.
 #include "inject/activation.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "bayes/fault_network.h"
 #include "data/toy2d.h"
+#include "fault/bits.h"
 #include "nn/builders.h"
 #include "train/trainer.h"
 #include "util/rng.h"
@@ -119,6 +124,59 @@ TEST_F(ActivationTest, FlipCountTracksActivationSize) {
         config.p * 32.0 * static_cast<double>(pt.activation_numel);
     EXPECT_NEAR(pt.mean_flips, expected, 0.35 * expected + 2.0)
         << pt.layer_name;
+  }
+}
+
+// The input and activation sites the campaign samples on must mean what an
+// in-flight corruption means: the logits of a mask equal, bit for bit, a
+// forward whose hook flips exactly those bits of that layer's output (for
+// the input, a forward over a flipped copy of the batch).
+TEST_F(ActivationTest, SitesEqualInFlightFlips) {
+  const auto flip = [](tensor::Tensor& t, const fault::FaultMask& mask) {
+    for (const std::int64_t flat : mask.bits()) {
+      const fault::FaultSite site = fault::FaultSite::from_flat(flat);
+      t[site.element] = fault::flip_bit(t[site.element], site.bit);
+    }
+  };
+  const auto expect_same = [](const tensor::Tensor& a,
+                              const tensor::Tensor& b) {
+    ASSERT_EQ(a.shape(), b.shape());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                          static_cast<std::size_t>(a.numel()) * sizeof(float)),
+              0);
+  };
+  util::Rng rng{8};
+  const double p = 1e-3;
+  for (std::int64_t layer = -1;
+       layer < static_cast<std::int64_t>(net_->num_layers()); ++layer) {
+    fault::TargetSpec spec = fault::TargetSpec::input_only();
+    if (layer >= 0) {
+      spec = fault::TargetSpec::activations_only();
+      spec.layer_names = {net_->layer_name(static_cast<std::size_t>(layer))};
+    }
+    bayes::BayesianFaultNetwork bfn(*net_, spec,
+                                    fault::AvfProfile::uniform(),
+                                    data_->inputs, data_->labels);
+    for (int draw = 0; draw < 3; ++draw) {
+      SCOPED_TRACE("layer " + std::to_string(layer) + ", draw " +
+                   std::to_string(draw));
+      const fault::FaultMask mask = bfn.sample_prior_mask(p, rng);
+      ASSERT_GT(mask.num_flips(), 0u);
+      const tensor::Tensor logits = bfn.logits_under_mask(mask);
+      nn::Network reference = net_->clone();
+      if (layer < 0) {
+        tensor::Tensor inputs = data_->inputs;
+        flip(inputs, mask);
+        expect_same(logits, reference.forward(inputs));
+      } else {
+        const auto target = static_cast<std::size_t>(layer);
+        expect_same(logits,
+                    reference.forward(data_->inputs, false,
+                                      [&](std::size_t i, tensor::Tensor& act) {
+                                        if (i == target) flip(act, mask);
+                                      }));
+      }
+    }
   }
 }
 

@@ -245,28 +245,5 @@ TEST_F(InjectionSpaceTest, ZeroProbBitHasMinusInfPrior) {
             -std::numeric_limits<double>::infinity());
 }
 
-TEST(CorruptTensor, FlipCountScalesWithP) {
-  tensor::Tensor t{tensor::Shape{1000}};
-  util::Rng rng{5};
-  const std::size_t flips =
-      corrupt_tensor(t, AvfProfile::uniform(), 0.01, rng);
-  // 1000 els * 32 bits * 0.01 = 320 expected.
-  EXPECT_GT(flips, 200u);
-  EXPECT_LT(flips, 450u);
-}
-
-TEST(CorruptTensor, ZeroPLeavesTensorIntact) {
-  tensor::Tensor t = tensor::Tensor::full(tensor::Shape{10}, 1.0f);
-  util::Rng rng{6};
-  // mantissa_only at p for exponent bits is 0; use profile with all zeros via
-  // p so small the expected flips ~ 0 is not guaranteed — instead verify the
-  // self-inverse double-corruption route: corrupt twice with same RNG seed.
-  tensor::Tensor u = t;
-  util::Rng r1{7}, r2{7};
-  corrupt_tensor(t, AvfProfile::uniform(), 0.05, r1);
-  corrupt_tensor(t, AvfProfile::uniform(), 0.05, r2);  // same bits again
-  EXPECT_EQ(tensor::Tensor::max_abs_diff(t, u), 0.0f);
-}
-
 }  // namespace
 }  // namespace bdlfi::fault

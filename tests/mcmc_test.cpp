@@ -13,6 +13,7 @@
 #include "mcmc/proposals.h"
 #include "mcmc/runner.h"
 #include "nn/builders.h"
+#include "obs/metrics.h"
 #include "train/trainer.h"
 #include "util/rng.h"
 
@@ -204,8 +205,17 @@ TEST_F(McmcTest, GibbsRunnerPathWorks) {
   TargetFactory factory = [p](bayes::BayesianFaultNetwork& net) {
     return std::make_unique<bayes::PriorTarget>(net, p);
   };
+  // Gibbs chains run the same chain loop as MH, counters included.
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::Counter& samples =
+      obs::MetricsRegistry::global().counter("mcmc.samples");
+  const std::uint64_t samples_before = samples.value();
   const CampaignResult result = run_chains(*bfn_, factory, p, config);
+  const std::uint64_t samples_after = samples.value();
+  obs::set_enabled(was_enabled);
   EXPECT_EQ(result.total_samples, 60u);
+  EXPECT_EQ(samples_after - samples_before, result.total_samples);
 }
 
 TEST_F(McmcTest, CompletenessConvergesOnEasyTarget) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 
@@ -82,6 +83,25 @@ TEST(Network, ActivationHookSeesEveryLayerAndCanMutate) {
   EXPECT_EQ(seen.front(), 0u);
   (void)clean;
   (void)hooked;
+}
+
+TEST(Network, AddAfterEvalForwardRunsTheNewLayer) {
+  util::Rng rng{3};
+  Network net = make_mlp({2, 8, 3}, rng);
+  const Tensor x = Tensor::randn(Shape{4, 2}, rng);
+  // The eval forward compiles a plan that ends at the current last layer.
+  const Tensor before = net.forward(x);
+  std::size_t negatives = 0;
+  for (std::int64_t i = 0; i < before.numel(); ++i) {
+    if (before[i] < 0.0f) ++negatives;
+  }
+  ASSERT_GT(negatives, 0u);
+  net.add("extra_relu", std::make_unique<ReLU>());
+  const Tensor after = net.forward(x);
+  ASSERT_EQ(after.shape(), before.shape());
+  for (std::int64_t i = 0; i < after.numel(); ++i) {
+    EXPECT_EQ(after[i], std::max(before[i], 0.0f)) << "logit " << i;
+  }
 }
 
 TEST(Network, AccuracyComputesFraction) {

@@ -8,8 +8,10 @@
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <thread>
 
 #include "bayes/targets.h"
@@ -52,6 +54,11 @@ class ResilienceTest : public ::testing::Test {
   }
   void SetUp() override { util::set_interrupt_requested(false); }
   void TearDown() override { util::set_interrupt_requested(false); }
+
+  /// Runs `base` uninterrupted and again interrupted after round 2 and
+  /// resumed; the two campaigns must agree bit for bit.
+  static void expect_resume_is_bit_exact(const RunnerConfig& base,
+                                         const std::string& name);
 
   static std::string fresh_dir(const std::string& name) {
     const std::string dir = ::testing::TempDir() + "bdlfi_resilience_" + name;
@@ -276,6 +283,81 @@ TEST(Checkpoint, LoadRejectsMissingAndMalformedFiles) {
                    &error)
                    .has_value());
   EXPECT_EQ(error, "unsupported checkpoint version");
+
+  // Well-formed JSON with values a resume cannot run on. Each case starts
+  // from a checkpoint that loads, changes one thing (in the struct, or in
+  // the written text), and must be rejected with a diagnostic.
+  CampaignCheckpoint good;
+  good.fingerprint = 0x0123456789abcdefULL;
+  good.p = 1e-3;
+  good.rounds_completed = 1;
+  good.trajectory = {{6, 2.5, 1.01, 5.0}};
+  ChainResult chain;
+  chain.error_samples = {1.0, 2.0, 3.0};
+  chain.deviation_samples = {0.0, 1.0, 2.0};
+  chain.flips_samples = {4.0, 5.0, 6.0};
+  chain.network_evals = 77;
+  good.chains = {chain, chain};
+  ChainCursor cursor;
+  cursor.valid = true;
+  cursor.rng_state = util::Rng{3}.state_save();
+  cursor.mask = FaultMask({1, 99, 163});
+  good.cursors = {cursor, cursor};
+  ChainHealth h0, h1;
+  h0.chain = 0;
+  h1.chain = 1;
+  good.health = {h0, h1};
+  const std::string path = dir + "/campaign.ckpt.json";
+  ASSERT_TRUE(save_checkpoint(path, good));
+  ASSERT_TRUE(load_checkpoint(path, &error).has_value()) << error;
+
+  const auto rejects = [&](const std::string& what,
+                           const CampaignCheckpoint& ck,
+                           const std::string& from = "",
+                           const std::string& to = "") {
+    SCOPED_TRACE(what);
+    ASSERT_TRUE(save_checkpoint(path, ck));
+    if (!from.empty()) {
+      std::ifstream in(path);
+      std::stringstream text;
+      text << in.rdbuf();
+      std::string body = text.str();
+      const std::size_t at = body.find(from);
+      ASSERT_NE(at, std::string::npos) << from;
+      body.replace(at, from.size(), to);
+      write("campaign.ckpt.json", body);
+    }
+    error.clear();
+    EXPECT_FALSE(load_checkpoint(path, &error).has_value());
+    EXPECT_FALSE(error.empty());
+  };
+  rejects("chain index differs from its position", good,
+          "\"chain\":1,\"status\":\"healthy\"",
+          "\"chain\":100000000,\"status\":\"quarantined\"");
+  rejects("negative cursor bit", good, "\"mask\":[1,", "\"mask\":[-5,");
+  rejects("cursor bit beyond 2^53", good, "\"mask\":[1,",
+          "\"mask\":[1e300,");
+  rejects("fractional cursor bit", good, "\"mask\":[1,",
+          "\"mask\":[1.5,");
+  rejects("negative count", good, "\"network_evals\":77",
+          "\"network_evals\":-1");
+  rejects("fractional count", good, "\"network_evals\":77",
+          "\"network_evals\":7.5");
+  rejects("negative version", good, "\"version\":2", "\"version\":-1");
+  CampaignCheckpoint ck = good;
+  ck.cursors[0].rng_state.resize(2);
+  rejects("cursor rng the engine refuses", ck);
+  ck = good;
+  ck.chains[1].error_samples.resize(1);
+  ck.chains[1].deviation_samples.resize(1);
+  ck.chains[1].flips_samples.resize(1);
+  rejects("healthy chains of different lengths", ck);
+  ck = good;
+  ck.chains[0].deviation_samples.pop_back();
+  rejects("sample arrays of different lengths", ck);
+  ck = good;
+  ck.backend.clear();
+  rejects("empty backend", ck);
   std::filesystem::remove_all(dir);
 }
 
@@ -435,8 +517,8 @@ TEST_F(ResilienceTest, TimedOutChainIsQuarantined) {
 // ---------------------------------------------------------------------------
 // Kill-and-resume.
 
-TEST_F(ResilienceTest, ResumeAfterInterruptIsBitExact) {
-  const RunnerConfig base = small_runner();
+void ResilienceTest::expect_resume_is_bit_exact(const RunnerConfig& base,
+                                                const std::string& name) {
   const CompletenessCriterion criterion = never_converge(4);
   const double p = 1e-3;
   TargetFactory factory = [p](bayes::BayesianFaultNetwork& net) {
@@ -450,7 +532,7 @@ TEST_F(ResilienceTest, ResumeAfterInterruptIsBitExact) {
 
   // Same campaign, checkpointed, "killed" after round 2 via the interrupt
   // flag — exactly what the SIGINT handler sets.
-  const std::string dir = fresh_dir("resume");
+  const std::string dir = fresh_dir(name);
   RunnerConfig interrupted = base;
   interrupted.checkpoint_dir = dir;
   interrupted.round_hook = [](const obs::RoundEvent& e) {
@@ -500,6 +582,51 @@ TEST_F(ResilienceTest, ResumeAfterInterruptIsBitExact) {
   }
   expect_bitwise_equal({a.mean_error, a.diagnostics.rhat, a.diagnostics.ess},
                        {b.mean_error, b.diagnostics.rhat, b.diagnostics.ess});
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(ResilienceTest, ResumeAfterInterruptIsBitExact) {
+  // Both samplers continue their cursors through the one chain loop.
+  for (const bool gibbs : {false, true}) {
+    SCOPED_TRACE(gibbs ? "gibbs" : "mh");
+    util::set_interrupt_requested(false);
+    RunnerConfig base = small_runner();
+    base.use_gibbs = gibbs;
+    base.gibbs.samples = base.mh.samples;
+    expect_resume_is_bit_exact(base, gibbs ? "resume_gibbs" : "resume");
+  }
+}
+
+TEST_F(ResilienceTest, ResumeRejectsCursorOutsideTheSpace) {
+  const double p = 1e-3;
+  TargetFactory factory = [p](bayes::BayesianFaultNetwork& net) {
+    return std::make_unique<bayes::PriorTarget>(net, p);
+  };
+  const std::string dir = fresh_dir("cursor_outside");
+  RunnerConfig config = small_runner();
+  config.checkpoint_dir = dir;
+  ASSERT_EQ(run_until_complete(*bfn_, factory, p, config, never_converge(2))
+                .rounds,
+            2u);
+
+  // The loader accepts the bit (a count below 2^53); only the campaign
+  // knows its space ends there.
+  std::string error;
+  auto ck = load_checkpoint(checkpoint_path(dir), &error);
+  ASSERT_TRUE(ck.has_value()) << error;
+  ck->cursors[1].mask = FaultMask({3, bfn_->space().total_bits()});
+  ASSERT_TRUE(save_checkpoint(checkpoint_path(dir), *ck));
+
+  config.resume = true;
+  const CompletenessResult rejected =
+      run_until_complete(*bfn_, factory, p, config, never_converge(4));
+  EXPECT_TRUE(rejected.resume_rejected);
+  EXPECT_FALSE(rejected.backend_mismatch);
+  EXPECT_TRUE(rejected.final_result.failed);
+  EXPECT_NE(rejected.final_result.fail_reason.find("chain 1"),
+            std::string::npos)
+      << rejected.final_result.fail_reason;
+  EXPECT_EQ(rejected.rounds, 0u);
   std::filesystem::remove_all(dir);
 }
 

@@ -4,10 +4,10 @@
 //   check_json --jsonl file.jsonl   one JSON document per non-empty line
 //   check_json --trace file.json    Chrome trace: object with a traceEvents
 //                                   array of {name, ph, ts, pid, tid} events
-//   check_json --checkpoint f.json  bdlfi campaign checkpoint: schema/version
-//                                   header, hex fingerprint, trajectory and
-//                                   per-chain entries (status, sample arrays
-//                                   of equal length, cursor object or null)
+//   check_json --checkpoint f.json  bdlfi campaign checkpoint: loaded with
+//                                   mcmc::load_checkpoint, the loader
+//                                   --resume runs, so "checkpoint validates"
+//                                   means "checkpoint loads"
 //   check_json --mask-eval f.json   BENCH_mask_eval.json: config + per-layer
 //                                   timings and the truncated-replay summary
 //   check_json --fleet-spec f.json  bdlfi fleet campaign spec: parsed and
@@ -30,6 +30,7 @@
 #include <string>
 
 #include "fleet/spec.h"
+#include "mcmc/checkpoint.h"
 #include "obs/json.h"
 
 using namespace bdlfi;
@@ -82,136 +83,6 @@ bool is_hex64(const std::string& s) {
   if (s.size() != 16) return false;
   for (const char c : s) {
     if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))) return false;
-  }
-  return true;
-}
-
-bool numeric_array(const obs::JsonValue& obj, const std::string& key,
-                   std::size_t* length) {
-  const obs::JsonValue* arr = obj.find(key);
-  if (arr == nullptr || !arr->is_array()) return false;
-  for (const auto& v : arr->as_array()) {
-    // null is the writer's encoding of a non-finite double: legal.
-    if (!v.is_number() && !v.is_null()) return false;
-  }
-  *length = arr->as_array().size();
-  return true;
-}
-
-bool check_checkpoint(const obs::JsonValue& doc, std::string* error) {
-  if (!doc.is_object()) {
-    *error = "checkpoint root is not an object";
-    return false;
-  }
-  const obs::JsonValue* schema = doc.find("schema");
-  if (schema == nullptr || !schema->is_string() ||
-      schema->as_string() != "bdlfi_campaign_checkpoint") {
-    *error = "missing/unknown schema tag";
-    return false;
-  }
-  const obs::JsonValue* version = doc.find("version");
-  if (version == nullptr || !version->is_number() ||
-      version->as_number() < 1) {
-    *error = "missing/invalid version";
-    return false;
-  }
-  const obs::JsonValue* fp = doc.find("fingerprint");
-  if (fp == nullptr || !fp->is_string() || !is_hex64(fp->as_string())) {
-    *error = "fingerprint must be 16 lowercase hex digits";
-    return false;
-  }
-  // Optional (absent in pre-backend checkpoints, which were always scalar);
-  // when present it must be a non-empty backend name.
-  const obs::JsonValue* backend = doc.find("backend");
-  if (backend != nullptr &&
-      (!backend->is_string() || backend->as_string().empty())) {
-    *error = "\"backend\" must be a non-empty string";
-    return false;
-  }
-  for (const char* key : {"p", "rounds_completed", "prev_evals"}) {
-    const obs::JsonValue* v = doc.find(key);
-    if (v == nullptr || !v->is_number()) {
-      *error = std::string("missing/invalid \"") + key + "\"";
-      return false;
-    }
-  }
-  const obs::JsonValue* converged = doc.find("converged");
-  if (converged == nullptr || !converged->is_bool()) {
-    *error = "missing/invalid \"converged\"";
-    return false;
-  }
-  const obs::JsonValue* trajectory = doc.find("trajectory");
-  if (trajectory == nullptr || !trajectory->is_array()) {
-    *error = "missing trajectory array";
-    return false;
-  }
-  std::size_t index = 0;
-  for (const auto& entry : trajectory->as_array()) {
-    for (const char* key : {"samples", "mean_error", "rhat", "ess"}) {
-      const obs::JsonValue* v = entry.find(key);
-      if (v == nullptr || (!v->is_number() && !v->is_null())) {
-        *error = "trajectory[" + std::to_string(index) +
-                 "]: bad or missing \"" + key + "\"";
-        return false;
-      }
-    }
-    ++index;
-  }
-  const obs::JsonValue* chains = doc.find("chains");
-  if (chains == nullptr || !chains->is_array()) {
-    *error = "missing chains array";
-    return false;
-  }
-  // v2 checkpoints carry the per-chain fault-outcome taxonomy counters; their
-  // absence would silently zero the campaign's detection-coverage numbers on
-  // resume, so at v2+ they are schema errors, not optional fields.
-  const bool wants_outcomes = version->as_number() >= 2;
-  index = 0;
-  for (const auto& chain : chains->as_array()) {
-    const std::string at = "chains[" + std::to_string(index) + "]";
-    const obs::JsonValue* status = chain.find("status");
-    if (status == nullptr || !status->is_string() ||
-        (status->as_string() != "healthy" &&
-         status->as_string() != "quarantined")) {
-      *error = at + ": bad or missing \"status\"";
-      return false;
-    }
-    std::size_t errors = 0, deviations = 0, flips = 0;
-    if (!numeric_array(chain, "error_samples", &errors) ||
-        !numeric_array(chain, "deviation_samples", &deviations) ||
-        !numeric_array(chain, "flips_samples", &flips)) {
-      *error = at + ": bad or missing sample arrays";
-      return false;
-    }
-    if (errors != deviations || errors != flips) {
-      *error = at + ": sample arrays have mismatched lengths";
-      return false;
-    }
-    if (wants_outcomes) {
-      for (const char* key : {"outcome_masked", "outcome_sdc",
-                              "outcome_detected", "outcome_corrected"}) {
-        const obs::JsonValue* v = chain.find(key);
-        if (v == nullptr || !v->is_number()) {
-          *error = at + ": bad or missing \"" + key + "\" (required at v2)";
-          return false;
-        }
-      }
-    }
-    const obs::JsonValue* cursor = chain.find("cursor");
-    if (cursor == nullptr || (!cursor->is_object() && !cursor->is_null())) {
-      *error = at + ": cursor must be an object or null";
-      return false;
-    }
-    if (cursor->is_object()) {
-      const obs::JsonValue* rng = cursor->find("rng");
-      const obs::JsonValue* mask = cursor->find("mask");
-      if (rng == nullptr || !rng->is_string() || mask == nullptr ||
-          !mask->is_array()) {
-        *error = at + ": cursor needs an rng string and a mask array";
-        return false;
-      }
-    }
-    ++index;
   }
   return true;
 }
@@ -550,6 +421,19 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  if (checkpoint) {
+    // Likewise the checkpoint validator is the loader --resume runs.
+    std::string error;
+    const auto ck = mcmc::load_checkpoint(path, &error);
+    if (!ck.has_value()) {
+      std::fprintf(stderr, "check_json: %s: %s\n", path, error.c_str());
+      return 1;
+    }
+    std::printf("%s: OK (%zu chain(s), %zu round(s))\n", path,
+                ck->chains.size(), ck->rounds_completed);
+    return 0;
+  }
+
   std::string text;
   if (!read_file(path, &text)) {
     std::fprintf(stderr, "check_json: cannot read %s\n", path);
@@ -569,10 +453,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     if (trace && !check_trace(*doc, &error)) {
-      std::fprintf(stderr, "check_json: %s: %s\n", path, error.c_str());
-      return 1;
-    }
-    if (checkpoint && !check_checkpoint(*doc, &error)) {
       std::fprintf(stderr, "check_json: %s: %s\n", path, error.c_str());
       return 1;
     }
