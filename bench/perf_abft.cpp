@@ -6,8 +6,12 @@
 // detect mode.
 //
 // Training is deliberately skipped (as in perf_mask_eval): kernel timing is
-// independent of the weight values. Results go to BENCH_abft.json (and the
-// usual CSV). `--smoke` shrinks everything so ctest can exercise the path.
+// independent of the weight values. The timed forwards run in rounds that
+// interleave the three modes, and a mode's cost is its fastest forward: load
+// that comes and goes on the host then hits every mode alike instead of
+// whichever mode happened to run during it. Results go to BENCH_abft.json
+// (and the usual CSV). `--smoke` shrinks everything so ctest can exercise
+// the path.
 #include <algorithm>
 #include <cstdio>
 
@@ -22,9 +26,10 @@ namespace {
 
 struct ModeTiming {
   std::string mode;
-  double seconds = 0.0;
+  double seconds = 0.0;         // all timed forwards of this mode
+  double best_forward_s = 0.0;  // the fastest one
   double forwards_per_s = 0.0;
-  double overhead_pct = 0.0;  // vs. unchecked
+  double overhead_pct = 0.0;  // best forward vs. unchecked best forward
   std::size_t checks = 0;
   std::size_t detected_rows = 0;
 };
@@ -58,7 +63,7 @@ int main(int argc, char** argv) {
       data::make_cifar_like(data_config, data_rng).slice(0, eval_batch);
 
   const std::size_t reps = std::max<std::size_t>(
-      1, flags.get("reps", smoke ? std::size_t{2} : std::size_t{12}));
+      1, flags.get("reps", smoke ? std::size_t{10} : std::size_t{12}));
 
   std::printf("[setup] kernel backend: %s\n", backend.c_str());
   std::printf("[setup] ResNet-18 (width %.3g, %lldx%lld), eval batch %zu, "
@@ -71,35 +76,43 @@ int main(int argc, char** argv) {
   const tensor::abft::Mode modes[] = {tensor::abft::Mode::kOff,
                                       tensor::abft::Mode::kDetect,
                                       tensor::abft::Mode::kCorrect};
+  std::vector<nn::Network> subjects;
+  subjects.reserve(std::size(modes));  // warmed networks are never moved
   std::vector<ModeTiming> timings;
   for (const tensor::abft::Mode mode : modes) {
-    nn::Network subject = net.clone();
+    nn::Network& subject = subjects.emplace_back(net.clone());
     subject.set_abft(tensor::abft::Config{mode, 4.0});
-    // Warm-up (page in the checked path), then timed runs.
+    // Warm-up: page in the checked path before any timed forward.
     (void)subject.forward(eval.inputs, false);
-    util::Stopwatch timer;
-    for (std::size_t r = 0; r < reps; ++r) {
-      (void)subject.forward(eval.inputs, false);
-    }
-    ModeTiming t;
-    t.mode = tensor::abft::mode_name(mode);
-    t.seconds = timer.seconds();
-    t.forwards_per_s = static_cast<double>(reps) / std::max(t.seconds, 1e-9);
-    t.checks = subject.abft_stats().checks.load();
-    t.detected_rows = subject.abft_stats().detected_rows.load();
-    timings.push_back(t);
+    timings.push_back({.mode = tensor::abft::mode_name(mode)});
   }
-  const double base_s = std::max(timings.front().seconds, 1e-9);
-  for (auto& t : timings) {
-    t.overhead_pct = 100.0 * (t.seconds - base_s) / base_s;
+  for (std::size_t r = 0; r < reps; ++r) {
+    for (std::size_t m = 0; m < subjects.size(); ++m) {
+      util::Stopwatch timer;
+      (void)subjects[m].forward(eval.inputs, false);
+      const double s = timer.seconds();
+      ModeTiming& t = timings[m];
+      t.seconds += s;
+      t.best_forward_s = r == 0 ? s : std::min(t.best_forward_s, s);
+    }
+  }
+  const double base_s = std::max(timings.front().best_forward_s, 1e-9);
+  for (std::size_t m = 0; m < subjects.size(); ++m) {
+    ModeTiming& t = timings[m];
+    t.forwards_per_s = static_cast<double>(reps) / std::max(t.seconds, 1e-9);
+    t.overhead_pct = 100.0 * (t.best_forward_s - base_s) / base_s;
+    t.checks = subjects[m].abft_stats().checks.load();
+    t.detected_rows = subjects[m].abft_stats().detected_rows.load();
   }
 
-  util::Table table({"abft_mode", "seconds", "forwards_per_s", "overhead_%",
-                     "checks", "detected_rows"});
+  util::Table table({"abft_mode", "seconds", "best_forward_s",
+                     "forwards_per_s", "overhead_%", "checks",
+                     "detected_rows"});
   for (const auto& t : timings) {
     table.row()
         .col(t.mode)
         .col(t.seconds)
+        .col(t.best_forward_s)
         .col(t.forwards_per_s)
         .col(t.overhead_pct)
         .col(t.checks)
@@ -137,6 +150,7 @@ int main(int argc, char** argv) {
     json.begin_object();
     json.field("mode", t.mode);
     json.field("seconds", t.seconds);
+    json.field("best_forward_s", t.best_forward_s);
     json.field("forwards_per_s", t.forwards_per_s);
     json.field("overhead_pct", t.overhead_pct);
     json.field("checks", t.checks);

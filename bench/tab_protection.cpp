@@ -25,7 +25,7 @@
 #include "fault/models.h"
 #include "inject/random_fi.h"
 #include "nn/range_guard.h"
-#include "quant/space.h"
+#include "quant/convert.h"
 #include "tensor/abft.h"
 
 using namespace bdlfi;
@@ -59,8 +59,9 @@ int main(int argc, char** argv) {
   hardened.mutable_space().protect_elements(sensitivity.top_fraction(0.2));
 
   nn::Network qnet = quant::quantize_network(setup.net);
-  quant::QuantFaultNetwork quantized(qnet, setup.test.inputs,
-                                     setup.test.labels);
+  bayes::BayesianFaultNetwork quantized(
+      qnet, bayes::TargetSpec::all_parameters(), fault::AvfProfile::uniform(),
+      setup.test.inputs, setup.test.labels);
 
   nn::Network abft_detect_net = setup.net.clone();
   abft_detect_net.set_abft(
@@ -85,8 +86,8 @@ int main(int argc, char** argv) {
     const auto base = inject::run_random_fi(plain, p, fi);
     const auto guard = inject::run_random_fi(guarded, p, fi);
     const auto ecc = inject::run_random_fi(hardened, p, fi);
-    const auto quant_result =
-        quant::run_quant_random_fi(quantized, p, injections, 141);
+    fi.seed = 141;
+    const auto quant_result = inject::run_random_fi(quantized, p, fi);
     table.row()
         .col(p)
         .col(base.mean_deviation)

@@ -5,7 +5,7 @@
 // plus the detected (NaN/Inf) channel that only the float format exhibits.
 #include "common.h"
 #include "inject/random_fi.h"
-#include "quant/space.h"
+#include "quant/convert.h"
 #include "util/ascii_plot.h"
 
 using namespace bdlfi;
@@ -20,8 +20,9 @@ int main(int argc, char** argv) {
   bayes::BayesianFaultNetwork float_net(
       setup.net, bayes::TargetSpec::weights_only(),
       fault::AvfProfile::uniform(), setup.test.inputs, setup.test.labels);
-  quant::QuantFaultNetwork quant_net(qnet, setup.test.inputs,
-                                     setup.test.labels);
+  bayes::BayesianFaultNetwork quant_net(
+      qnet, bayes::TargetSpec::weights_only(), fault::AvfProfile::uniform(),
+      setup.test.inputs, setup.test.labels);
   std::printf("golden error: float %.2f%%, int8 %.2f%% (quantization cost "
               "%.2fpp)\n\n",
               float_net.golden_error(), quant_net.golden_error(),
@@ -37,7 +38,8 @@ int main(int argc, char** argv) {
     fi.injections = injections;
     fi.seed = 130;
     const auto f = inject::run_random_fi(float_net, p, fi);
-    const auto q = quant::run_quant_random_fi(quant_net, p, injections, 131);
+    fi.seed = 131;
+    const auto q = inject::run_random_fi(quant_net, p, fi);
     table.row()
         .col(p)
         .col(f.mean_deviation)

@@ -63,8 +63,10 @@ done
 # truncated-replay parity suite, the MCMC chains (replicas compiling their
 # own plans), the activation campaigns (input and activation sites replayed
 # from the golden activation cache, flips staged into a copy of the replay
-# start), the dropout, range-guard and quantized-layer suites and the
-# mask-eval bench smoke get an explicit sanitized run per backend.
+# start), the dropout, range-guard and quantized-layer suites (int8 codes
+# XOR'd in place as kCode sites, truncated replay and chains on them), and
+# the mask-eval and int8-table bench smokes get an explicit sanitized run per
+# backend.
 for backend in scalar avx2; do
   if [ "$backend" = avx2 ] && ! grep -q avx2 /proc/cpuinfo 2>/dev/null; then
     continue
@@ -72,7 +74,7 @@ for backend in scalar avx2; do
   echo "=== eval-path suite under BDLFI_BACKEND=$backend ==="
   BDLFI_BACKEND="$backend" ctest --test-dir "$BUILD_DIR" \
     --output-on-failure \
-    -R 'PlanTest|Replay|McmcTest|Activation|perf_mask_eval|Dropout|RangeGuard|GuardedNetwork|Quantize|QuantDense|QuantSpace|QuantFault'
+    -R 'PlanTest|Replay|McmcTest|Activation|perf_mask_eval|Dropout|RangeGuard|GuardedNetwork|Quantize|QuantDense|QuantSpace|QuantFault|tab_quantized_smoke'
 done
 
 # Targeted checkpoint-input pass: load_checkpoint turns JSON doubles into

@@ -24,6 +24,12 @@ const char* fault_outcome_name(FaultOutcome outcome) {
   return "?";
 }
 
+namespace {
+
+/// Scores the output logits of one evaluation: one argmax-and-finiteness scan
+/// per row (the active backend's argmax_finite_row) against `labels` and
+/// `golden_preds`, the four rates, and the outcome class. ABFT counters
+/// already in `outcome` count as detection signals.
 void score_logits(const tensor::Tensor& logits,
                   const std::vector<std::int64_t>& labels,
                   const std::vector<std::int64_t>& golden_preds,
@@ -70,8 +76,6 @@ void score_logits(const tensor::Tensor& logits,
   }
 }
 
-namespace {
-
 // Process-wide truncated-replay counters, aggregated across every instance
 // and chain (the per-instance EvalStats stay authoritative for results; the
 // registry view is what live reporters and sinks read).
@@ -90,9 +94,9 @@ struct EvalMetrics {
 };
 
 /// A mask sorted into the site kinds the evaluation pipeline treats
-/// differently: persistent parameter bits (XOR-able in place), input bits
-/// (applied to a copy of the eval batch), and per-layer activation bits
-/// (applied in flight via the forward hook). Offsets are element indices
+/// differently: persistent parameter and int8 code bits (XOR-able in place),
+/// input bits (applied to a copy of the eval batch), and per-layer activation
+/// bits (applied in flight via the forward hook). Offsets are element indices
 /// *within* the owning tensor.
 struct SplitMask {
   std::vector<std::int64_t> param_bits;  // flat space addressing
@@ -112,6 +116,7 @@ SplitMask split_mask(const InjectionSpace& space, const FaultMask& mask) {
     const std::int64_t elem = site.element - entry.offset;
     switch (entry.site) {
       case InjectionSpace::SiteKind::kParam:
+      case InjectionSpace::SiteKind::kCode:
         split.param_bits.push_back(flat);
         break;
       case InjectionSpace::SiteKind::kInput:

@@ -6,6 +6,9 @@
 // a concrete fault pattern e = {b_i} is measured. The corrupted state is
 // W' = e ⊙ W (bitwise XOR); XOR's self-inverse property means a mask can be
 // applied, measured, and reverted in O(#flips) without copying weights.
+// The golden network may be float or quantized: a quantized network's int8
+// weight codes are kCode sites of the same space, so int8 deployments run
+// every campaign kind (random FI, MCMC, checkpoints, fleets) unchanged.
 //
 // Evaluation is *truncated* whenever possible: the golden per-layer
 // activations of the eval batch are recorded once (ActivationCache), and a
@@ -79,16 +82,6 @@ struct MaskOutcome {
   /// clamp is silent, so this never drives the outcome classification.
   std::uint64_t guard_corrections = 0;
 };
-
-/// Scores the output logits of one evaluation: one argmax-and-finiteness scan
-/// per row (the active backend's argmax_finite_row) against `labels` and
-/// `golden_preds`, the four rates, and the outcome class. ABFT counters
-/// already in `outcome` count as detection signals. Float and int8 fault
-/// networks both score through it.
-void score_logits(const tensor::Tensor& logits,
-                  const std::vector<std::int64_t>& labels,
-                  const std::vector<std::int64_t>& golden_preds,
-                  MaskOutcome& outcome);
 
 /// Configuration of the golden-activation cache behind truncated evaluation.
 struct EvalCacheConfig {

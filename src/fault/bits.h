@@ -13,6 +13,8 @@
 namespace bdlfi::fault {
 
 inline constexpr int kBitsPerWord = 32;
+/// Live bits of an int8 weight-code word (InjectionSpace::SiteKind::kCode).
+inline constexpr int kBitsPerCode = 8;
 inline constexpr int kSignBit = 31;
 inline constexpr int kExponentLow = 23;   // bits 23..30 are the exponent
 inline constexpr int kExponentHigh = 30;

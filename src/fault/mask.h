@@ -4,7 +4,8 @@
 // (Fig. 1-②): the set of bits whose XOR with the golden state produces the
 // corrupted state W' = e ⊙ W. Masks are sparse — at realistic flip rates the
 // overwhelming majority of bits are clean — and addressed by *flat bit index*
-// within an InjectionSpace (element-major: bit = flat % 32).
+// within an InjectionSpace (element-major: bit = flat % 32; an int8 code word
+// keeps the 32-bit stride and uses bits 0..7 only).
 //
 // XOR application is self-inverse, so `apply` both injects and reverts; the
 // MCMC kernels exploit this to move between mask states touching only the
@@ -22,7 +23,7 @@ namespace bdlfi::fault {
 /// One flipped bit, resolved against a specific InjectionSpace.
 struct FaultSite {
   std::int64_t element = 0;  // flat element index within the space
-  int bit = 0;               // 0..31 within the binary32 word
+  int bit = 0;  // 0..31 within the binary32 word; 0..7 on an int8 code word
 
   std::int64_t flat() const { return element * 32 + bit; }
   static FaultSite from_flat(std::int64_t flat) {

@@ -48,6 +48,16 @@ InjectionSpace::InjectionSpace(nn::Network& net, const TargetSpec& spec,
     }
     return 0;  // unknown prefix: conservatively force a full replay
   };
+  // int8 code words come first, so the float words form one contiguous
+  // range [code_elements_, total) for bits 8..31.
+  for (const nn::CodeRef& c : net.codes()) {
+    if (!spec.matches(c.name, nn::ParamRole::kWeight)) continue;
+    entries_.push_back({c.name, nn::ParamRole::kWeight, nullptr,
+                        total_elements_, SiteKind::kCode, layer_index(c.name),
+                        c.numel, c.data});
+    total_elements_ += c.numel;
+  }
+  code_elements_ = total_elements_;
   auto add_refs = [&](const std::vector<nn::ParamRef>& refs) {
     for (const auto& r : refs) {
       if (!spec.matches(r.name, r.role)) continue;
@@ -114,6 +124,7 @@ std::int64_t InjectionSpace::first_replay_layer(const FaultMask& mask) const {
     std::int64_t layer = 0;
     switch (e.site) {
       case SiteKind::kParam:
+      case SiteKind::kCode:
         layer = e.layer;
         break;
       case SiteKind::kInput:
@@ -151,9 +162,9 @@ void InjectionSpace::apply(const FaultMask& mask) const {
 
 void InjectionSpace::apply_bits(
     std::span<const std::int64_t> flat_bits) const {
-  // Resolve sites into (pointer, xor-word) batches and hand them to the
-  // active kernel backend; the stack buffer keeps typical masks (a handful
-  // of flips) allocation-free.
+  // Resolve float sites into (pointer, xor-word) batches and hand them to
+  // the active kernel backend; the stack buffer keeps typical masks (a
+  // handful of flips) allocation-free. int8 code words XOR in place.
   constexpr std::size_t kBatch = 128;
   float* ptrs[kBatch];
   std::uint32_t words[kBatch];
@@ -161,11 +172,18 @@ void InjectionSpace::apply_bits(
   const auto& be = tensor::backend::active();
   for (std::int64_t flat : flat_bits) {
     const FaultSite site = FaultSite::from_flat(flat);
-    ptrs[count] = element_ptr(site.element);
-    words[count] = std::uint32_t{1} << site.bit;
-    if (++count == kBatch) {
-      be.mask_xor(ptrs, words, count);
-      count = 0;
+    if (site.element >= code_elements_) {
+      ptrs[count] = element_ptr(site.element);
+      words[count] = std::uint32_t{1} << site.bit;
+      if (++count == kBatch) {
+        be.mask_xor(ptrs, words, count);
+        count = 0;
+      }
+    } else if (site.bit < kBitsPerCode) {  // bits 8..31 of a code word: dead
+      const Entry& e = entry_of(site.element);
+      std::int8_t& code = e.codes[site.element - e.offset];
+      code = static_cast<std::int8_t>(static_cast<std::uint8_t>(code) ^
+                                      (1u << site.bit));
     }
   }
   if (count > 0) be.mask_xor(ptrs, words, count);
@@ -174,8 +192,9 @@ void InjectionSpace::apply_bits(
 float* InjectionSpace::element_ptr(std::int64_t element) const {
   const Entry& entry = entry_of(element);
   BDLFI_CHECK_MSG(entry.site == SiteKind::kParam,
-                  "input/activation/compute sites are transient: apply them "
-                  "via the mask-evaluation pipeline, not by persistent XOR");
+                  "not a float word: int8 code sites are 8-bit, and "
+                  "input/activation/compute sites are transient (apply them "
+                  "via the mask-evaluation pipeline, not by persistent XOR)");
   return entry.value->data() + (element - entry.offset);
 }
 
@@ -185,8 +204,10 @@ FaultMask InjectionSpace::sample_mask(const AvfProfile& profile, double p,
   for (int bit = 0; bit < kBitsPerWord; ++bit) {
     const double pb = profile.bit_prob(bit, p);
     if (pb <= 0.0) continue;
-    // Geometric skipping across the element axis for this bit position.
-    std::int64_t element = static_cast<std::int64_t>(rng.geometric(pb));
+    // Geometric skipping across the element axis for this bit position;
+    // bits 8..31 skip the code words, which have none.
+    std::int64_t element = (bit < kBitsPerCode ? 0 : code_elements_) +
+                           static_cast<std::int64_t>(rng.geometric(pb));
     while (element < total_elements_) {
       if (!is_protected(element)) {
         flips.push_back(element * kBitsPerWord + bit);
@@ -215,18 +236,24 @@ bool InjectionSpace::is_protected(std::int64_t element) const {
 double InjectionSpace::log_prior(const FaultMask& mask,
                                  const AvfProfile& profile, double p) const {
   double lp = 0.0;
-  // Clean-bit constant: every unprotected bit of every element unflipped.
+  // Clean-bit constant: every live bit of every unprotected element
+  // unflipped — bits 0..7 of all of them, bits 8..31 of float words only.
   // (Protected bits never flip — probability-1 events contribute 0.)
-  const auto vulnerable =
-      static_cast<double>(total_elements_ -
-                          static_cast<std::int64_t>(protected_.size()));
+  const std::int64_t vulnerable =
+      total_elements_ - static_cast<std::int64_t>(protected_.size());
+  const std::int64_t vulnerable_codes =
+      code_elements_ -
+      (std::lower_bound(protected_.begin(), protected_.end(), code_elements_) -
+       protected_.begin());
+  const auto every_word = static_cast<double>(vulnerable);
+  const auto float_words = static_cast<double>(vulnerable - vulnerable_codes);
   for (int bit = 0; bit < kBitsPerWord; ++bit) {
     const double pb = profile.bit_prob(bit, p);
     if (pb >= 1.0) {
       // All such bits MUST be flipped; the constant is handled per flip below.
       continue;
     }
-    lp += vulnerable * std::log1p(-pb);
+    lp += (bit < kBitsPerCode ? every_word : float_words) * std::log1p(-pb);
   }
   for (std::int64_t flat : mask.bits()) {
     lp += log_prior_toggle_delta(flat, profile, p);
@@ -240,10 +267,12 @@ double InjectionSpace::log_prior(const FaultMask& mask,
 double InjectionSpace::log_prior_toggle_delta(std::int64_t flat_bit,
                                               const AvfProfile& profile,
                                               double p) const {
-  if (is_protected(flat_bit / kBitsPerWord)) {
+  const std::int64_t element = flat_bit / kBitsPerWord;
+  const int bit = static_cast<int>(flat_bit % kBitsPerWord);
+  if ((bit >= kBitsPerCode && element < code_elements_) ||
+      is_protected(element)) {
     return -std::numeric_limits<double>::infinity();
   }
-  const int bit = static_cast<int>(flat_bit % kBitsPerWord);
   const double pb = profile.bit_prob(bit, p);
   if (pb <= 0.0) return -std::numeric_limits<double>::infinity();
   if (pb >= 1.0) return std::numeric_limits<double>::infinity();

@@ -4,6 +4,8 @@
 // one layer, weights only, ...); the InjectionSpace built from it lays those
 // tensors out as one flat element axis so fault sites have stable integer
 // addresses — the "enormous space of fault locations" of §I made enumerable.
+// A quantized network's int8 weight codes are sites of the same axis (kCode):
+// they come first, and their words have 8 live bits instead of 32.
 //
 // Sampling a Bernoulli mask is O(expected #flips), not O(#bits): for each bit
 // position we geometric-skip across elements. At p = 1e-5 over a million
@@ -28,7 +30,8 @@ struct TargetSpec {
   std::vector<nn::ParamRole> roles;
   /// Also expose BN running statistics (non-trainable but memory-resident).
   bool include_buffers = false;
-  /// Expose parameter tensors at all (off for pure input/activation spaces).
+  /// Expose parameter tensors and int8 weight codes at all (off for pure
+  /// input/activation spaces). Codes filter as role kWeight.
   bool include_params = true;
   /// Expose the evaluation batch itself — §II's "memory units for storing
   /// ... inputs" — as fault sites of pseudo-layer -1.
@@ -87,22 +90,25 @@ struct ActivationGeometry {
 class InjectionSpace {
  public:
   /// What kind of memory a fault site lives in. kParam sites are persistent
-  /// tensors XOR-able in place; kInput/kActivation sites are transient — the
-  /// evaluation pipeline applies them to in-flight tensors instead. kCompute
-  /// sites are transient upsets of a layer's raw GEMM output, applied
-  /// mid-kernel (between the multiply and the ABFT check) via the network's
-  /// ComputeFaultPlan.
-  enum class SiteKind { kParam, kInput, kActivation, kCompute };
+  /// tensors XOR-able in place; kCode sites are persistent int8 weight codes,
+  /// XOR-able in place with live bits 0..7 only (bits 8..31 of a code word
+  /// have zero prior and XOR nothing); kInput/kActivation sites are
+  /// transient — the evaluation pipeline applies them to in-flight tensors
+  /// instead. kCompute sites are transient upsets of a layer's raw GEMM
+  /// output, applied mid-kernel (between the multiply and the ABFT check) via
+  /// the network's ComputeFaultPlan.
+  enum class SiteKind { kParam, kCode, kInput, kActivation, kCompute };
 
   struct Entry {
     std::string name;
     nn::ParamRole role;
-    tensor::Tensor* value;  // nullptr for kInput/kActivation (virtual) sites
+    tensor::Tensor* value;  // kParam only (nullptr on every other kind)
     std::int64_t offset;  // flat element index of this tensor's first element
     SiteKind site = SiteKind::kParam;
     /// Owning layer index: params/activations → their layer; input → -1.
     std::int64_t layer = -1;
     std::int64_t numel = 0;
+    std::int8_t* codes = nullptr;  // kCode only (nullptr on every other kind)
   };
 
   /// Pointers into `net` are held; the network must outlive the space and not
@@ -112,19 +118,25 @@ class InjectionSpace {
                  const ActivationGeometry* geometry = nullptr);
 
   std::int64_t total_elements() const { return total_elements_; }
+  /// Size of the flat bit address space (32 per element; only bits 0..7 of
+  /// an int8 code word are live).
   std::int64_t total_bits() const { return total_elements_ * kBitsPerWord; }
+  /// Elements [0, code_elements()) are int8 code words; every other site
+  /// follows them. 0 for a float network.
+  std::int64_t code_elements() const { return code_elements_; }
   const std::vector<Entry>& entries() const { return entries_; }
   std::size_t num_layers() const { return num_layers_; }
 
   /// The tensor entry containing flat element `element`.
   const Entry& entry_of(std::int64_t element) const;
+  /// The float word of a kParam element; check-fails on every other kind.
   float* element_ptr(std::int64_t element) const;
 
   /// Index of the first layer whose *execution* can differ from golden under
-  /// `mask`: weight/bias/BN sites → owning layer, input sites → 0, activation
-  /// sites of layer L → L+1 (layer L itself still runs golden; only its
-  /// stored output is corrupted). Returns num_layers() for an empty mask —
-  /// nothing needs re-running and the cached golden logits stand.
+  /// `mask`: weight/bias/BN/code sites → owning layer, input sites → 0,
+  /// activation sites of layer L → L+1 (layer L itself still runs golden;
+  /// only its stored output is corrupted). Returns num_layers() for an empty
+  /// mask — nothing needs re-running and the cached golden logits stand.
   std::int64_t first_replay_layer(const FaultMask& mask) const;
 
   /// XORs every bit of the mask into the network state. Self-inverse:
@@ -136,13 +148,15 @@ class InjectionSpace {
 
   /// Draws a mask with independent Bernoulli(profile.bit_prob(b, p)) flips.
   /// Bit positions are drawn in order 0..31, each by geometric skipping along
-  /// the element axis, so a space of one input or activation tensor draws the
-  /// flips of one in-flight corruption of that tensor.
+  /// the element axis (bits 8..31 start past the code words), so a space of
+  /// one input or activation tensor draws the flips of one in-flight
+  /// corruption of that tensor.
   FaultMask sample_mask(const AvfProfile& profile, double p,
                         util::Rng& rng) const;
 
   /// Log prior probability of a mask under the Bernoulli model (includes the
-  /// constant from all clean bits; -inf if the mask uses a zero-prob bit).
+  /// constant from all clean live bits; -inf if the mask uses a zero-prob,
+  /// protected or dead code bit).
   double log_prior(const FaultMask& mask, const AvfProfile& profile,
                    double p) const;
 
@@ -167,6 +181,7 @@ class InjectionSpace {
  private:
   std::vector<Entry> entries_;
   std::int64_t total_elements_ = 0;
+  std::int64_t code_elements_ = 0;
   std::size_t num_layers_ = 0;
   std::vector<std::int64_t> protected_;  // sorted, unique
 };

@@ -50,6 +50,15 @@ struct ParamRef {
   Tensor* grad = nullptr;
 };
 
+/// A live, mutable reference to one int8 weight-code buffer of a quantized
+/// layer — the accelerator's weight memory, addressed by fault campaigns as
+/// 8-bit words. Same lifetime rules as ParamRef.
+struct CodeRef {
+  std::string name;  // hierarchical, e.g. "block2.conv1.weight_q"
+  std::int8_t* data = nullptr;
+  std::int64_t numel = 0;
+};
+
 /// Per-execution scratch passed through forward_into, owned by the plan (or
 /// local to one eval Layer::forward) and grow-once: a layer stages
 /// temporaries in `scratch` instead of allocating per eval (a basic block
@@ -106,6 +115,13 @@ class Layer {
   /// grad == nullptr. Used by checkpointing and (optionally) fault targeting.
   virtual void collect_buffers(const std::string& prefix,
                                std::vector<ParamRef>& out) {
+    (void)prefix;
+    (void)out;
+  }
+
+  /// Appends this layer's int8 weight-code buffers (quantized layers only).
+  virtual void collect_codes(const std::string& prefix,
+                             std::vector<CodeRef>& out) {
     (void)prefix;
     (void)out;
   }

@@ -148,6 +148,14 @@ std::vector<ParamRef> Network::buffers() {
   return refs;
 }
 
+std::vector<CodeRef> Network::codes() {
+  std::vector<CodeRef> refs;
+  for (auto& e : layers_) {
+    e.entry->collect_codes(e.name + ".", refs);
+  }
+  return refs;
+}
+
 std::vector<ParamRef> Network::state() {
   std::vector<ParamRef> refs = params();
   auto bufs = buffers();

@@ -98,6 +98,9 @@ class Network {
   /// Non-trainable buffers (BN running stats), same ordering guarantees.
   std::vector<ParamRef> buffers();
 
+  /// int8 weight-code buffers of quantized layers, same ordering guarantees.
+  std::vector<CodeRef> codes();
+
   /// params() followed by buffers() — the full persistent state.
   std::vector<ParamRef> state();
 

@@ -62,19 +62,4 @@ nn::Network quantize_network(const nn::Network& golden,
   return out;
 }
 
-std::vector<QuantBufferRef> collect_quant_buffers(nn::Network& net) {
-  std::vector<QuantBufferRef> refs;
-  for (std::size_t i = 0; i < net.num_layers(); ++i) {
-    const std::string prefix = net.layer_name(i) + ".";
-    if (auto* dense = dynamic_cast<QuantDense*>(&net.layer(i))) {
-      dense->collect_quant_buffers(prefix, refs);
-    } else if (auto* conv = dynamic_cast<QuantConv2d*>(&net.layer(i))) {
-      conv->collect_quant_buffers(prefix, refs);
-    } else if (auto* block = dynamic_cast<QuantBasicBlock*>(&net.layer(i))) {
-      block->collect_quant_buffers(prefix, refs);
-    }
-  }
-  return refs;
-}
-
 }  // namespace bdlfi::quant

@@ -23,9 +23,4 @@ struct QuantizeOptions {
 nn::Network quantize_network(const nn::Network& golden,
                              const QuantizeOptions& options = {});
 
-/// Enumerates every int8 weight buffer of a quantized network, in a stable
-/// order (layer order, then intra-layer order). Pointers are valid while the
-/// network lives and is not structurally modified.
-std::vector<QuantBufferRef> collect_quant_buffers(nn::Network& net);
-
 }  // namespace bdlfi::quant

@@ -103,9 +103,10 @@ std::unique_ptr<Layer> QuantDense::clone() const {
   return copy;
 }
 
-void QuantDense::collect_quant_buffers(const std::string& prefix,
-                                       std::vector<QuantBufferRef>& out) {
-  out.push_back({prefix + "weight_q", &weight_codes_, channel_params_[0]});
+void QuantDense::collect_codes(const std::string& prefix,
+                               std::vector<nn::CodeRef>& out) {
+  out.push_back({prefix + "weight_q", weight_codes_.data(),
+                 static_cast<std::int64_t>(weight_codes_.size())});
 }
 
 // --- QuantConv2d ----------------------------------------------------------------
@@ -156,9 +157,10 @@ std::unique_ptr<Layer> QuantConv2d::clone() const {
   return copy;
 }
 
-void QuantConv2d::collect_quant_buffers(const std::string& prefix,
-                                        std::vector<QuantBufferRef>& out) {
-  out.push_back({prefix + "weight_q", &weight_codes_, channel_params_[0]});
+void QuantConv2d::collect_codes(const std::string& prefix,
+                                std::vector<nn::CodeRef>& out) {
+  out.push_back({prefix + "weight_q", weight_codes_.data(),
+                 static_cast<std::int64_t>(weight_codes_.size())});
 }
 
 // --- QuantBasicBlock -------------------------------------------------------------
@@ -206,11 +208,11 @@ std::unique_ptr<Layer> QuantBasicBlock::clone() const {
       proj_bn_ ? proj_bn_->clone() : nullptr);
 }
 
-void QuantBasicBlock::collect_quant_buffers(const std::string& prefix,
-                                            std::vector<QuantBufferRef>& out) {
-  conv1_->collect_quant_buffers(prefix + "conv1.", out);
-  conv2_->collect_quant_buffers(prefix + "conv2.", out);
-  if (proj_conv_) proj_conv_->collect_quant_buffers(prefix + "proj.", out);
+void QuantBasicBlock::collect_codes(const std::string& prefix,
+                                    std::vector<nn::CodeRef>& out) {
+  conv1_->collect_codes(prefix + "conv1.", out);
+  conv2_->collect_codes(prefix + "conv2.", out);
+  if (proj_conv_) proj_conv_->collect_codes(prefix + "proj.", out);
 }
 
 }  // namespace bdlfi::quant

@@ -5,8 +5,9 @@
 //
 // Because these are ordinary nn::Layer subclasses, the whole existing stack —
 // Network, cloning, checkpoints of float params, activation hooks, campaign
-// plumbing — works unchanged; only the fault space differs (see
-// quant/space.h, which addresses the int8 words).
+// plumbing — works unchanged. The int8 codes are reported by collect_codes,
+// so fault::InjectionSpace addresses them as kCode sites (8 live bits per
+// word) and bayes::BayesianFaultNetwork runs every campaign kind on them.
 #pragma once
 
 #include "nn/layer.h"
@@ -19,14 +20,6 @@ using nn::Layer;
 using nn::ParamRef;
 using tensor::Shape;
 using tensor::Tensor;
-
-/// Reference to one int8 weight buffer of a quantized layer, used by the
-/// quantized injection space.
-struct QuantBufferRef {
-  std::string name;
-  std::vector<std::int8_t>* codes = nullptr;
-  QuantParams params;
-};
 
 /// Dense layer with int8 weights: y = x · dequant(Wq)^T + b.
 class QuantDense : public Layer {
@@ -44,8 +37,8 @@ class QuantDense : public Layer {
   Tensor backward(const Tensor& grad_output) override;
   std::unique_ptr<Layer> clone() const override;
 
-  void collect_quant_buffers(const std::string& prefix,
-                             std::vector<QuantBufferRef>& out);
+  void collect_codes(const std::string& prefix,
+                     std::vector<nn::CodeRef>& out) override;
 
   /// Scale of output channel `c` (channel 0 in per-tensor mode).
   const QuantParams& weight_params(std::int64_t c = 0) const {
@@ -78,8 +71,8 @@ class QuantConv2d : public Layer {
   Tensor backward(const Tensor& grad_output) override;
   std::unique_ptr<Layer> clone() const override;
 
-  void collect_quant_buffers(const std::string& prefix,
-                             std::vector<QuantBufferRef>& out);
+  void collect_codes(const std::string& prefix,
+                     std::vector<nn::CodeRef>& out) override;
 
   const QuantParams& weight_params(std::int64_t c = 0) const {
     return channel_params_.at(
@@ -116,8 +109,8 @@ class QuantBasicBlock : public Layer {
   Tensor backward(const Tensor& grad_output) override;
   std::unique_ptr<Layer> clone() const override;
 
-  void collect_quant_buffers(const std::string& prefix,
-                             std::vector<QuantBufferRef>& out);
+  void collect_codes(const std::string& prefix,
+                     std::vector<nn::CodeRef>& out) override;
 
  private:
   std::unique_ptr<QuantConv2d> conv1_, conv2_, proj_conv_;

@@ -3,6 +3,7 @@
 // at the boundaries of the parameter space.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 
 #include "bayes/targets.h"
@@ -12,7 +13,6 @@
 #include "mcmc/runner.h"
 #include "nn/builders.h"
 #include "nn/layers.h"
-#include "quant/space.h"
 #include "train/trainer.h"
 #include "util/csv.h"
 #include "util/rng.h"
@@ -56,10 +56,27 @@ TEST(EdgeCases, BurstSamplerRejectsDegenerateRates) {
   EXPECT_DEATH(bad_len.sample(space, rng), "burst_length");
 }
 
-TEST(EdgeCases, QuantSpaceOnFloatNetworkAborts) {
+TEST(EdgeCases, FloatNetworkSpaceHasNoCodeSites) {
+  // A float network has no int8 code words: its space is float words from
+  // element 0 on, and no bit of element 0 falls in the dead code region.
   util::Rng rng{4};
   nn::Network net = nn::make_mlp({2, 4, 2}, rng);
-  EXPECT_DEATH(quant::QuantInjectionSpace space(net), "no quantized buffers");
+  fault::InjectionSpace space(net);
+  EXPECT_EQ(space.code_elements(), 0);
+  for (const auto& entry : space.entries()) {
+    EXPECT_EQ(entry.site, fault::InjectionSpace::SiteKind::kParam);
+    EXPECT_EQ(entry.codes, nullptr);
+  }
+  const auto uniform = fault::AvfProfile::uniform();
+  const double p = 1e-2;
+  EXPECT_TRUE(std::isfinite(space.log_prior_toggle_delta(31, uniform, p)));
+  const double lp = space.log_prior(fault::FaultMask{}, uniform, p);
+  EXPECT_NEAR(lp, 32.0 * static_cast<double>(net.num_params()) *
+                      std::log1p(-p),
+              1e-12 * std::abs(lp));
+  const float before = *space.element_ptr(0);
+  space.apply(fault::FaultMask{{31}});  // sign bit of the first float word
+  EXPECT_EQ(*space.element_ptr(0), -before);
 }
 
 TEST(EdgeCases, BfnRejectsEmptyEvalSet) {

@@ -56,8 +56,7 @@ TEST(Vgg11, QuantizesAndInjects) {
   config.width_multiplier = 0.0625;
   nn::Network net = nn::make_vgg11(config, rng);
   nn::Network qnet = quant::quantize_network(net);
-  const auto refs = quant::collect_quant_buffers(qnet);
-  EXPECT_EQ(refs.size(), 9u);  // 8 convs + fc
+  EXPECT_EQ(qnet.codes().size(), 9u);  // 8 convs + fc
   Tensor x{Shape{1, 3, 32, 32}};
   EXPECT_EQ(qnet.forward(x).shape(), Shape({1, 10}));
 }

@@ -124,6 +124,7 @@ TEST_F(InjectionSpaceTest, TotalsMatchParamCount) {
   InjectionSpace space(net_);
   EXPECT_EQ(space.total_elements(), net_.num_params());
   EXPECT_EQ(space.total_bits(), net_.num_params() * 32);
+  EXPECT_EQ(space.code_elements(), 0);  // a float network has no int8 codes
 }
 
 TEST_F(InjectionSpaceTest, SingleLayerSpec) {
