@@ -39,16 +39,18 @@ fi
 
 # Targeted ABFT / compute-fault pass: the checksum verification and the
 # mid-kernel flip injection are the newest pointer-arithmetic-heavy paths
-# (row-window selection from elem_base, in-place row recompute), so they get
-# an explicit sanitized run per backend — including the protection-table
-# smoke that drives compute faults through the whole random-FI pipeline.
+# (row-window selection from elem_base, each conv sample's window of a wide
+# panel product, in-place row recompute), so they get an explicit sanitized
+# run per backend — the Abft* gtests (ctest regexes are case-sensitive), the
+# ABFT bench smoke, and the protection-table smoke that drives compute faults
+# through the whole random-FI pipeline.
 for backend in scalar avx2; do
   if [ "$backend" = avx2 ] && ! grep -q avx2 /proc/cpuinfo 2>/dev/null; then
     continue
   fi
   echo "=== ABFT + compute-fault suite under BDLFI_BACKEND=$backend ==="
   BDLFI_BACKEND="$backend" ctest --test-dir "$BUILD_DIR" \
-    --output-on-failure -R 'abft|tab_protection_smoke|perf_abft_smoke'
+    --output-on-failure -R 'Abft|abft|tab_protection_smoke'
 done
 
 # Targeted eval-path pass: every eval forward runs on an ExecutionPlan
@@ -130,13 +132,15 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure \
 # there are invisible to ASan. TSan cannot share a build with ASan, so it
 # gets its own, instrumented through CMAKE_CXX_FLAGS (compile and link) and
 # limited to the suites that drive the pool from several threads; the MCMC
-# suite runs chain replicas, each with its own plans, concurrently on it.
+# suite runs chain replicas, each with its own plans, concurrently on it, and
+# checked convs verify their samples' windows (shared Stats counters, flip
+# lists) inside tile-parallel loops.
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "$TSAN_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread"
 cmake --build "$TSAN_DIR" -j "$(nproc)" \
-  --target util_thread_pool_test plan_test replay_test mcmc_test
+  --target util_thread_pool_test plan_test replay_test mcmc_test abft_test
 export TSAN_OPTIONS="halt_on_error=1"
 for backend in scalar avx2; do
   if [ "$backend" = avx2 ] && ! grep -q avx2 /proc/cpuinfo 2>/dev/null; then
@@ -144,5 +148,5 @@ for backend in scalar avx2; do
   fi
   echo "=== thread pool / nested parallel_for suite (TSan) under BDLFI_BACKEND=$backend ==="
   BDLFI_BACKEND="$backend" ctest --test-dir "$TSAN_DIR" --output-on-failure \
-    -R 'ThreadPool|ParallelFor|PlanTest|Replay|McmcTest'
+    -R 'ThreadPool|ParallelFor|PlanTest|Replay|McmcTest|AbftConv'
 done

@@ -55,6 +55,13 @@ SweepResult run_bdlfi_sweep(const BayesianFaultNetwork& golden,
     };
     const mcmc::CampaignResult campaign =
         mcmc::run_chains(golden, factory, p, runner);
+    if (campaign.interrupted) {
+      // The point pools partial chains: stop at the clean prefix of finished
+      // points rather than report it, or sample the remaining grid with a
+      // doomed budget.
+      result.interrupted = true;
+      break;
+    }
     SweepPoint point;
     point.p = p;
     point.mean_error = campaign.mean_error;
@@ -69,12 +76,6 @@ SweepResult run_bdlfi_sweep(const BayesianFaultNetwork& golden,
     if (campaign.degraded) {
       BDLFI_LOG_WARN("sweep p=%.2e degraded: %zu chain(s) quarantined", p,
                      campaign.chains_quarantined);
-    }
-    if (campaign.interrupted) {
-      // Stop at a clean prefix rather than sampling the remaining grid
-      // points with a doomed budget.
-      result.interrupted = true;
-      break;
     }
     BDLFI_LOG_DEBUG("sweep p=%.2e: error=%.2f%% (golden %.2f%%), rhat=%.3f",
                     p, point.mean_error, result.golden_error,
@@ -115,6 +116,7 @@ std::vector<LayerPoint> run_layer_campaign(
     };
     const mcmc::CampaignResult campaign =
         mcmc::run_chains(bfn, factory, layer_p, runner);
+    if (campaign.interrupted) break;  // partial chains: not a finished point
 
     LayerPoint point;
     point.layer_index = i;
@@ -140,7 +142,6 @@ std::vector<LayerPoint> run_layer_campaign(
       BDLFI_LOG_WARN("layer %zu (%s) degraded: %zu chain(s) quarantined", i,
                      point.layer_name.c_str(), campaign.chains_quarantined);
     }
-    if (campaign.interrupted) break;
     BDLFI_LOG_DEBUG("layer %zu (%s): error=%.2f%%", i,
                     point.layer_name.c_str(), point.mean_error);
     BDLFI_LOG_INFO(

@@ -97,7 +97,9 @@ struct LayerPoint {
 
 /// Injects faults into exactly one layer's parameters at a time and measures
 /// the output error — the paper's depth-vs-error experiment (Fig. 3).
-/// Layers with no parameters are skipped.
+/// Layers with no parameters are skipped. An interrupt
+/// (util::interrupt_requested) stops the campaign after the last finished
+/// layer: the result is a valid prefix.
 ///
 /// Two fault-dosage modes:
 ///  * expected_flips <= 0 — fixed per-bit rate: every layer's bits flip at

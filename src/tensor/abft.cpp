@@ -63,6 +63,15 @@ void gemm_checked(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
                   std::int64_t ldc, const OpContext& ctx,
                   std::int64_t elem_base) {
   gemm(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, 0.0f, c, ldc);
+  check_product(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, c, ldc, ctx,
+                elem_base);
+}
+
+void check_product(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
+                   std::int64_t k, float alpha, const float* a,
+                   std::int64_t lda, const float* b, std::int64_t ldb,
+                   float* c, std::int64_t ldc, const OpContext& ctx,
+                   std::int64_t elem_base) {
   if (m == 0 || n == 0) return;
 
   // Transient compute faults: flip the requested output bits between the raw

@@ -57,10 +57,12 @@ struct Config {
   double tolerance_scale = 4.0;
 };
 
-/// Cumulative ABFT counters. Atomic because conv forwards run sample-parallel
-/// (util::parallel_for) and every sample's GEMM shares one Stats instance.
+/// Cumulative ABFT counters. Atomic because conv forwards verify their
+/// samples' output windows from tile-parallel loops (util::parallel_for), and
+/// every window's check shares one Stats instance.
 struct Stats {
-  std::atomic<std::uint64_t> checks{0};           // checked GEMM calls
+  std::atomic<std::uint64_t> checks{0};  // verified products (one per conv
+                                         // sample, one per dense GEMM)
   std::atomic<std::uint64_t> rows_checked{0};
   std::atomic<std::uint64_t> detected_rows{0};    // flagged, left corrupted
   std::atomic<std::uint64_t> corrected_rows{0};   // flagged and recomputed
@@ -83,15 +85,26 @@ struct OpContext {
 };
 
 /// C = alpha * op(A) * op(B) (beta = 0 by construction: every forward GEMM
-/// overwrites its output), then compute-fault injection, then row-checksum
-/// verification per ctx.config. `elem_base` is the flat index of C's element
-/// (0,0) within the op's full output tensor; the logical output block is the
-/// row-major [m, n] window whose rows sit ldc apart. Verification is serial —
-/// conv callers already parallelize over samples above this.
+/// overwrites its output), then check_product on the result.
 void gemm_checked(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
                   std::int64_t k, float alpha, const float* a,
                   std::int64_t lda, const float* b, std::int64_t ldb, float* c,
                   std::int64_t ldc, const OpContext& ctx,
                   std::int64_t elem_base);
+
+/// The checking half of gemm_checked, for a product C = alpha * op(A) * op(B)
+/// the caller has already computed: compute-fault injection, then
+/// row-checksum verification (and, in kCorrect, recomputation) per
+/// ctx.config. `elem_base` is the flat index of C's element (0,0) within the
+/// op's full output tensor; the logical output block is the row-major [m, n]
+/// window whose rows sit ldc apart. A conv verifies each sample's
+/// [O, OH*OW] window of its panel product this way, with ldb = ldc = the
+/// panel width. Verification is serial — conv callers already run their
+/// tiles in parallel above this.
+void check_product(bool trans_a, bool trans_b, std::int64_t m, std::int64_t n,
+                   std::int64_t k, float alpha, const float* a,
+                   std::int64_t lda, const float* b, std::int64_t ldb,
+                   float* c, std::int64_t ldc, const OpContext& ctx,
+                   std::int64_t elem_base);
 
 }  // namespace bdlfi::tensor::abft

@@ -37,9 +37,10 @@ struct KernelBackend {
   /// row-major (ldb) shared by every variant, and C_v [m x n] (ldc). Fixed
   /// alpha = 1, beta = 0. Per-element results are REQUIRED to be bit-identical
   /// to gemm_rows(false, false, 0, m, n, k, 1, A_v, lda, B, ldb, 0, C_v, ldc)
-  /// on the same table — the unchecked panel conv (one variant) relies on
-  /// that for exact parity with the per-sample checked path. With alpha and
-  /// beta baked in, the AVX2 kernel runs 6-row blocks where gemm_rows runs 4.
+  /// on the same table — the panel conv (one variant) relies on that for
+  /// exact parity with per-sample GEMMs, ABFT-checked ones included. With
+  /// alpha and beta baked in, the AVX2 kernel runs 6-row blocks where
+  /// gemm_rows runs 4.
   void (*gemm_variants)(std::int64_t m, std::int64_t n, std::int64_t k,
                         const float* const* a, std::size_t variants,
                         std::int64_t lda, const float* b, std::int64_t ldb,

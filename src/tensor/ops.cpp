@@ -16,17 +16,19 @@ namespace {
 // Per-thread grow-only scratch arena for the im2col panels and the GEMM
 // output staging. A campaign evaluates the same geometry millions of times,
 // so the buffers are sized high-water-mark once per thread. Slots keep the
-// simultaneously-live buffers of one call apart. Calls never nest within a
-// thread: every conv entry point uses its slots only inside its own loop
-// bodies, the only parallel call such a body makes is gemm's row split
-// (whose chunks touch no scratch), and a thread waiting in parallel_for runs
-// chunks of its own call only (util/thread_pool.h). A slot grows to at least
-// kMinScratchFloats at once: which tiles a thread claims varies from call to
-// call, and the floor keeps a thread that has run any tile from allocating
-// again for every later small panel.
+// simultaneously-live buffers of one call apart: the forward's panel (0) and
+// staged product (1), the backward's columns (0) and their gradient (1).
+// Calls never nest within a thread: every conv entry point uses its slots
+// only inside its own loop bodies, a forward tile's GEMM, ABFT verification
+// and row recovery are serial, the backward's only parallel call is gemm's
+// row split (whose chunks touch no scratch), and a thread waiting in
+// parallel_for runs chunks of its own call only (util/thread_pool.h). A
+// slot grows to at least kMinScratchFloats at once: which tiles a thread
+// claims varies from call to call, and the floor keeps a thread that has run
+// any tile from allocating again for every later small panel.
 float* scratch_floats(std::size_t slot, std::size_t n) {
   constexpr std::size_t kMinScratchFloats = 64 * 1024;
-  thread_local std::vector<float> buffers[4];
+  thread_local std::vector<float> buffers[2];
   std::vector<float>& buf = buffers[slot];
   if (buf.size() < n) buf.resize(std::max(n, kMinScratchFloats));
   return buf.data();
@@ -60,75 +62,6 @@ void im2col_ld(const float* input, std::int64_t channels, std::int64_t h,
       }
     }
   }
-}
-
-// Unchecked conv over fused [patch, T*OH*OW] panels: one GEMM per tile of T
-// samples instead of one narrow GEMM per sample, so im2col and panel traffic
-// are paid once per tile. Per element the results are bit-identical to the
-// per-sample GEMMs (backend.h: panel width never changes a GEMM element).
-// `bias` nullptr = no bias.
-void conv2d_panels(const float* input, std::int64_t n, std::int64_t c,
-                   std::int64_t h, std::int64_t w, const float* weight,
-                   const float* bias, std::int64_t o, const Conv2dSpec& spec,
-                   float* output) {
-  const std::int64_t oh = spec.out_h(h), ow = spec.out_w(w);
-  const std::int64_t ohow = oh * ow;
-  const std::int64_t patch = c * spec.kernel_h * spec.kernel_w;
-  const std::int64_t chw = c * h * w;
-
-  // Samples per panel. At most ~256 KiB of panel (cache-resident across the
-  // row-block passes) and a bounded per-tile output staging buffer. Within
-  // that, the batch splits into up to one tile per pool thread, as long as
-  // every tile keeps kMinPanelCols columns: a layer whose whole batch fits
-  // one panel (late ResNet blocks, OH*OW = 4) still spreads over the cores,
-  // without shrinking panels into the kernels' scalar column remainder.
-  // Tiles are then evened out so the last one is not a sliver.
-  constexpr std::int64_t kPanelFloats = 64 * 1024;
-  constexpr std::int64_t kMinPanelCols = 64;
-  const std::int64_t max_tile = std::min(
-      std::clamp<std::int64_t>(
-          kPanelFloats / std::max<std::int64_t>(1, patch * ohow), 1, n),
-      std::max<std::int64_t>(1, (4 << 20) / (o * ohow)));
-  const auto threads =
-      static_cast<std::int64_t>(util::ThreadPool::global().size());
-  const std::int64_t want_tiles = std::clamp<std::int64_t>(
-      std::max((n + max_tile - 1) / max_tile,
-               std::min(threads, n * ohow / kMinPanelCols)),
-      1, n);
-  const std::int64_t tile = (n + want_tiles - 1) / want_tiles;
-  const std::int64_t num_tiles = (n + tile - 1) / tile;
-
-  const backend::KernelBackend& be = backend::active();
-  util::parallel_for(0, static_cast<std::size_t>(num_tiles), [&](std::size_t ti) {
-    const std::int64_t t0 = static_cast<std::int64_t>(ti) * tile;
-    const std::int64_t t_n = std::min(tile, n - t0);
-    const std::int64_t pw = t_n * ohow;  // fused panel width
-    float* panel =
-        scratch_floats(2, static_cast<std::size_t>(patch * pw));
-    for (std::int64_t t = 0; t < t_n; ++t) {
-      im2col_ld(input + (t0 + t) * chw, c, h, w, spec, panel, pw, t * ohow);
-    }
-    // gemm_variants with one variant: alpha = 1 and beta = 0 are baked into
-    // its kernels (6-row blocks on AVX2), bit-identical to gemm_rows.
-    float* staged = scratch_floats(3, static_cast<std::size_t>(o * pw));
-    const float* a_list[1] = {weight};
-    float* c_list[1] = {staged};
-    be.gemm_variants(o, pw, patch, a_list, 1, patch, panel, pw, c_list, pw);
-    // Write the staged [O, pw] result back into each sample's [O, OH*OW]
-    // window, then apply the bias exactly like the per-sample path
-    // (add_const per output plane).
-    for (std::int64_t t = 0; t < t_n; ++t) {
-      float* out = output + ((t0 + t) * o) * ohow;
-      for (std::int64_t oc = 0; oc < o; ++oc) {
-        std::copy_n(staged + oc * pw + t * ohow, ohow, out + oc * ohow);
-      }
-      if (bias != nullptr) {
-        for (std::int64_t oc = 0; oc < o; ++oc) {
-          be.add_const(out + oc * ohow, bias[oc], ohow);
-        }
-      }
-    }
-  });
 }
 
 }  // namespace
@@ -271,13 +204,6 @@ void col2im(const float* cols, std::int64_t channels, std::int64_t h,
 }
 
 Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
-                      const Tensor& bias, const Conv2dSpec& spec) {
-  // Default OpContext: ABFT off, no flips — gemm_checked degenerates to the
-  // plain gemm call, bit-exactly.
-  return conv2d_forward(input, weight, bias, spec, abft::OpContext{});
-}
-
-Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
                       const Tensor& bias, const Conv2dSpec& spec,
                       const abft::OpContext& ctx) {
   const std::int64_t n = input.shape()[0], h = input.shape()[2],
@@ -299,41 +225,73 @@ void conv2d_forward_into(const Tensor& input, const Tensor& weight,
   BDLFI_CHECK(weight.shape()[2] == spec.kernel_h &&
               weight.shape()[3] == spec.kernel_w);
   const std::int64_t oh = spec.out_h(h), ow = spec.out_w(w);
+  const std::int64_t ohow = oh * ow;
   const std::int64_t patch = c * spec.kernel_h * spec.kernel_w;
+  const std::int64_t chw = c * h * w;
   BDLFI_CHECK(output.shape() == Shape({n, o, oh, ow}));
   BDLFI_CHECK_MSG(output.data() != input.data(),
                   "conv2d_forward_into cannot run in place");
   if (n == 0) return;
 
-  if (ctx.config.mode == abft::Mode::kOff &&
-      (ctx.flips == nullptr || ctx.flips->empty())) {
-    // Inactive context: gemm_checked would be a plain gemm, so the batch
-    // runs as fused multi-sample panels.
-    conv2d_panels(input.data(), n, c, h, w, weight.data(),
-                  bias.empty() ? nullptr : bias.data(), o, spec,
-                  output.data());
-    return;
-  }
+  // Samples per panel. At most ~256 KiB of panel (cache-resident across the
+  // row-block passes) and a bounded per-tile output staging buffer. Within
+  // that, the batch splits into up to one tile per pool thread, as long as
+  // every tile keeps kMinPanelCols columns: a layer whose whole batch fits
+  // one panel (late ResNet blocks, OH*OW = 4) still spreads over the cores,
+  // without shrinking panels into the kernels' scalar column remainder.
+  // Tiles are then evened out so the last one is not a sliver.
+  constexpr std::int64_t kPanelFloats = 64 * 1024;
+  constexpr std::int64_t kMinPanelCols = 64;
+  const std::int64_t max_tile = std::min(
+      std::clamp<std::int64_t>(
+          kPanelFloats / std::max<std::int64_t>(1, patch * ohow), 1, n),
+      std::max<std::int64_t>(1, (4 << 20) / (o * ohow)));
+  const auto threads =
+      static_cast<std::int64_t>(util::ThreadPool::global().size());
+  const std::int64_t want_tiles = std::clamp<std::int64_t>(
+      std::max((n + max_tile - 1) / max_tile,
+               std::min(threads, n * ohow / kMinPanelCols)),
+      1, n);
+  const std::int64_t tile = (n + want_tiles - 1) / want_tiles;
+  const std::int64_t num_tiles = (n + tile - 1) / tile;
 
-  // Active context: the row checksums and compute-flip addresses of
-  // gemm_checked are defined per sample's [O, OH*OW] output window.
-  util::parallel_for(0, static_cast<std::size_t>(n), [&](std::size_t s) {
-    float* cols = scratch_floats(0, static_cast<std::size_t>(patch * oh * ow));
-    const float* in = input.data() + static_cast<std::int64_t>(s) * c * h * w;
-    im2col(in, c, h, w, spec, cols);
-    float* out =
-        output.data() + static_cast<std::int64_t>(s) * o * oh * ow;
-    // [O, patch] x [patch, OH*OW] -> [O, OH*OW]; sample s owns the flat
-    // output window starting at s*o*oh*ow, which is how gemm_checked selects
-    // this sample's compute-fault flips. Verification stays serial per call;
-    // this loop is already sample-parallel.
-    abft::gemm_checked(false, false, o, oh * ow, patch, 1.0f, weight.data(),
-                       patch, cols, oh * ow, out, oh * ow, ctx,
-                       static_cast<std::int64_t>(s) * o * oh * ow);
-    if (!bias.empty()) {
-      const backend::KernelBackend& be = backend::active();
+  const float* bias_data = bias.empty() ? nullptr : bias.data();
+  const backend::KernelBackend& be = backend::active();
+  util::parallel_for(0, static_cast<std::size_t>(num_tiles), [&](std::size_t ti) {
+    const std::int64_t t0 = static_cast<std::int64_t>(ti) * tile;
+    const std::int64_t t_n = std::min(tile, n - t0);
+    const std::int64_t pw = t_n * ohow;  // fused panel width
+    float* panel =
+        scratch_floats(0, static_cast<std::size_t>(patch * pw));
+    for (std::int64_t t = 0; t < t_n; ++t) {
+      im2col_ld(input.data() + (t0 + t) * chw, c, h, w, spec, panel, pw,
+                t * ohow);
+    }
+    // [O, patch] x [patch, T*OH*OW]. gemm_variants with one variant bakes
+    // in alpha = 1 and beta = 0 (6-row blocks on AVX2) and is bit-identical
+    // per element to per-sample gemm_rows (backend.h: panel width never
+    // changes a GEMM element).
+    float* staged = scratch_floats(1, static_cast<std::size_t>(o * pw));
+    const float* a_list[1] = {weight.data()};
+    float* c_list[1] = {staged};
+    be.gemm_variants(o, pw, patch, a_list, 1, patch, panel, pw, c_list, pw);
+    for (std::int64_t t = 0; t < t_n; ++t) {
+      const std::int64_t s = t0 + t;
+      // Sample s's [O, OH*OW] window of the product, over its own panel
+      // columns, is the checked product a per-sample GEMM would be: its
+      // compute flips start at s*O*OH*OW, and both strides are the panel
+      // width. Checked before the bias, like gemm_checked's callers.
+      abft::check_product(false, false, o, ohow, patch, 1.0f, weight.data(),
+                          patch, panel + t * ohow, pw, staged + t * ohow, pw,
+                          ctx, s * o * ohow);
+      float* out = output.data() + s * o * ohow;
       for (std::int64_t oc = 0; oc < o; ++oc) {
-        be.add_const(out + oc * oh * ow, bias[oc], oh * ow);
+        std::copy_n(staged + oc * pw + t * ohow, ohow, out + oc * ohow);
+      }
+      if (bias_data != nullptr) {
+        for (std::int64_t oc = 0; oc < o; ++oc) {
+          be.add_const(out + oc * ohow, bias_data[oc], ohow);
+        }
       }
     }
   });

@@ -74,25 +74,23 @@ void col2im(const float* cols, std::int64_t channels, std::int64_t h,
             std::int64_t w, const Conv2dSpec& spec, float* input_grad);
 
 /// input [N,C,H,W], weight [O,C,kh,kw], bias [O] (may be empty) → [N,O,OH,OW].
-Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
-                      const Tensor& bias, const Conv2dSpec& spec);
-
-/// Self-checking variant: routes each sample's im2col GEMM through
-/// abft::gemm_checked, so transient compute faults in ctx.flips (flat indices
-/// into the [N,O,OH,OW] output) land on the raw pre-bias MAC results and the
-/// ABFT row checksums verify/recover per ctx.config. With a default OpContext
-/// this is bit-exact with the plain overload.
+/// Allocating wrapper around conv2d_forward_into; a default OpContext (ABFT
+/// off, no flips) is the plain convolution.
 Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
                       const Tensor& bias, const Conv2dSpec& spec,
-                      const abft::OpContext& ctx);
+                      const abft::OpContext& ctx = {});
 
 /// Allocation-free conv2d: writes the [N,O,OH,OW] result into `output`
-/// (pre-shaped by the caller, must not alias `input`). Bit-exact with the
-/// allocating overloads — they are thin wrappers around this. The only
-/// per-call storage is the thread-local im2col scratch, which is grow-once.
-/// With an inactive ctx (ABFT off, no flips) the batch runs as fused
-/// multi-sample [patch, T*OH*OW] panels, bit-identical per element to the
-/// per-sample GEMMs an active ctx runs through abft::gemm_checked.
+/// (pre-shaped by the caller, must not alias `input`). The batch runs as
+/// fused multi-sample [patch, T*OH*OW] panels, one GEMM per tile of T
+/// samples, bit-identical per element to one im2col GEMM per sample. Each
+/// sample's [O, OH*OW] window of the product then goes through
+/// abft::check_product before the bias: transient compute faults in
+/// ctx.flips (flat indices into the [N,O,OH,OW] output) land on the raw
+/// pre-bias MAC results, and the ABFT row checksums verify/recover per
+/// ctx.config, exactly as a per-sample abft::gemm_checked would. An inactive
+/// ctx leaves the product untouched, and then the only per-call storage is
+/// the thread-local panel and staging scratch, which is grow-once.
 void conv2d_forward_into(const Tensor& input, const Tensor& weight,
                          const Tensor& bias, const Conv2dSpec& spec,
                          const abft::OpContext& ctx, Tensor& output);

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstring>
 #include <future>
+#include <string>
 #include <vector>
 
 #include "bayes/fault_network.h"
@@ -186,10 +187,10 @@ TEST(AbftChecksum, NonFiniteRowAlwaysFails) {
 
 TEST(AbftConv, NestedGemmCompletesOnGlobalPool) {
   // The width-0.25 ResNet block0 shape: C = O = 16, 16x16, 3x3, batch 8.
-  // Detect mode takes the per-sample checked path, whose 590k-flop GEMMs
-  // exceed gemm's parallel threshold, so every sample chunk nests a row
-  // split on the same pool. With all workers in sample chunks that used to
-  // hang; it must complete from the main thread and from a pool task.
+  // A checked conv runs its panel tiles on the global pool and verifies each
+  // sample's window inside its tile, so a conv called from a pool task nests
+  // a parallel_for on the same pool. It must complete from the main thread
+  // and from a pool task.
   util::Rng rng{31};
   const Tensor input = Tensor::randn(Shape{8, 16, 16, 16}, rng);
   const Tensor weight = Tensor::randn(Shape{16, 16, 3, 3}, rng);
@@ -216,6 +217,125 @@ TEST(AbftConv, NestedGemmCompletesOnGlobalPool) {
   EXPECT_EQ(std::memcmp(nested.data(), panel.data(), bytes), 0);
   EXPECT_EQ(stats.checks.load(), 16u);  // one per sample per call
   EXPECT_EQ(stats.detected_rows.load(), 0u);
+}
+
+// Reference checked conv, one sample at a time: one im2col and one
+// gemm_checked per sample, whose output window starts at s*O*OH*OW, then the
+// per-plane bias. Written out here so the checked panels are compared
+// against it, not against themselves.
+Tensor per_sample_checked_conv2d(const Tensor& input, const Tensor& weight,
+                                 const Tensor& bias, const Conv2dSpec& spec,
+                                 const OpContext& ctx) {
+  const std::int64_t n = input.shape()[0], c = input.shape()[1],
+                     h = input.shape()[2], w = input.shape()[3];
+  const std::int64_t o = weight.shape()[0];
+  const std::int64_t ohow = spec.out_h(h) * spec.out_w(w);
+  const std::int64_t patch = c * spec.kernel_h * spec.kernel_w;
+  Tensor out{Shape{n, o, spec.out_h(h), spec.out_w(w)}};
+  std::vector<float> cols(static_cast<std::size_t>(patch * ohow));
+  for (std::int64_t s = 0; s < n; ++s) {
+    im2col(input.data() + s * c * h * w, c, h, w, spec, cols.data());
+    float* dst = out.data() + s * o * ohow;
+    gemm_checked(false, false, o, ohow, patch, 1.0f, weight.data(), patch,
+                 cols.data(), ohow, dst, ohow, ctx, s * o * ohow);
+    if (!bias.empty()) {
+      for (std::int64_t oc = 0; oc < o; ++oc) {
+        backend::active().add_const(dst + oc * ohow, bias[oc], ohow);
+      }
+    }
+  }
+  return out;
+}
+
+TEST(AbftConv, CheckedPanelsMatchPerSampleGemmChecked) {
+  // A checked conv verifies each sample's [O, OH*OW] window of a wide panel
+  // product (ldb = ldc = T*OH*OW) and addresses its compute flips from
+  // s*O*OH*OW. Outputs and every counter must equal the per-sample
+  // reference, clean and with high-bit flips in the first, a middle and the
+  // last sample, in detect and correct mode, on every backend.
+  struct Case {
+    std::int64_t c, o, hw, kernel, stride, pad;
+  };
+  // The shapes of Conv2d.PanelPathBitIdenticalToPerSampleGemms.
+  const Case cases[] = {{8, 16, 1, 3, 1, 1},  {16, 5, 2, 3, 1, 1},
+                        {3, 8, 4, 3, 1, 1},   {4, 6, 16, 3, 1, 1},
+                        {6, 12, 8, 3, 2, 1},  {8, 16, 4, 1, 2, 0}};
+  const std::string restore = backend::active_name();
+  std::uint64_t flagged_rows = 0;
+  for (const std::string& name : backend::available()) {
+    ASSERT_TRUE(backend::set_active(name));
+    util::Rng rng{41};
+    for (const Case& k : cases) {
+      Conv2dSpec spec;
+      spec.kernel_h = spec.kernel_w = k.kernel;
+      spec.stride = k.stride;
+      spec.set_pad(k.pad);
+      const std::int64_t window = k.o * spec.out_h(k.hw) * spec.out_w(k.hw);
+      for (const std::int64_t n : {1, 7, 64}) {
+        // The clean run, then the first, a middle and the last sample struck
+        // one at a time and all together: per struck sample, an exponent
+        // flip in its first row and one in its last element.
+        std::vector<FlipList> flip_sets(1);
+        FlipList all;
+        for (const std::int64_t s : {std::int64_t{0}, n / 2, n - 1}) {
+          if (!all.empty() && all.back().first >= s * window) continue;
+          const FlipList one = {{s * window, 30}, {(s + 1) * window - 1, 29}};
+          flip_sets.push_back(one);
+          all.insert(all.end(), one.begin(), one.end());
+        }
+        if (flip_sets.size() > 2) flip_sets.push_back(all);
+        for (const bool with_bias : {false, true}) {
+          const Tensor input = Tensor::randn(Shape{n, k.c, k.hw, k.hw}, rng);
+          const Tensor weight =
+              Tensor::randn(Shape{k.o, k.c, k.kernel, k.kernel}, rng);
+          const Tensor bias =
+              with_bias ? Tensor::randn(Shape{k.o}, rng) : Tensor{};
+          for (const Mode mode : {Mode::kDetect, Mode::kCorrect}) {
+            for (std::size_t f = 0; f < flip_sets.size(); ++f) {
+              SCOPED_TRACE(name + " c=" + std::to_string(k.c) +
+                           " hw=" + std::to_string(k.hw) +
+                           " stride=" + std::to_string(k.stride) +
+                           " n=" + std::to_string(n) +
+                           " bias=" + std::to_string(with_bias) +
+                           " mode=" + mode_name(mode) +
+                           " flips=" + std::to_string(f));
+              Stats got_stats, want_stats;
+              OpContext ctx;
+              ctx.config.mode = mode;
+              ctx.flips = &flip_sets[f];
+              ctx.stats = &got_stats;
+              const Tensor got = conv2d_forward(input, weight, bias, spec, ctx);
+              ctx.stats = &want_stats;
+              const Tensor want =
+                  per_sample_checked_conv2d(input, weight, bias, spec, ctx);
+              ASSERT_EQ(got.shape(), want.shape());
+              EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                    static_cast<std::size_t>(got.numel()) *
+                                        sizeof(float)),
+                        0);
+              EXPECT_EQ(got_stats.checks.load(), want_stats.checks.load());
+              EXPECT_EQ(got_stats.checks.load(), static_cast<std::uint64_t>(n));
+              EXPECT_EQ(got_stats.rows_checked.load(),
+                        want_stats.rows_checked.load());
+              EXPECT_EQ(got_stats.detected_rows.load(),
+                        want_stats.detected_rows.load());
+              EXPECT_EQ(got_stats.corrected_rows.load(),
+                        want_stats.corrected_rows.load());
+              EXPECT_EQ(got_stats.faults_injected.load(),
+                        want_stats.faults_injected.load());
+              EXPECT_EQ(got_stats.faults_injected.load(), flip_sets[f].size());
+              flagged_rows += got_stats.detected_rows.load() +
+                              got_stats.corrected_rows.load();
+            }
+          }
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(backend::set_active(restore));
+  // The flips must actually have been caught somewhere, or the flipped runs
+  // compared nothing the clean runs did not.
+  EXPECT_GT(flagged_rows, 0u);
 }
 
 // --- Network-level transparency and plumbing -------------------------------

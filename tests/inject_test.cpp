@@ -11,7 +11,9 @@
 #include "inject/campaign.h"
 #include "inject/random_fi.h"
 #include "nn/builders.h"
+#include "obs/reporter.h"
 #include "train/trainer.h"
+#include "util/interrupt.h"
 #include "util/rng.h"
 
 namespace bdlfi::inject {
@@ -112,6 +114,46 @@ TEST_F(InjectTest, LayerCampaignCoversParamLayersOnly) {
     EXPECT_LE(pt.mean_error, 100.0);
     EXPECT_GT(pt.stats.samples, 0u);
   }
+}
+
+// The round hook runs when a point's chains finish; raising the interrupt
+// flag there (as the SIGINT handler would) interrupts the next point's
+// chains at their first sample. The partial point must not be reported.
+TEST_F(InjectTest, InterruptedSweepReportsFinishedPointsOnly) {
+  mcmc::RunnerConfig runner;
+  runner.num_chains = 2;
+  runner.mh.samples = 20;
+  runner.mh.burn_in = 5;
+  runner.seed = 7;
+  runner.round_hook = [](const obs::RoundEvent&) {
+    util::set_interrupt_requested(true);
+  };
+  util::set_interrupt_requested(false);
+  const SweepResult sweep =
+      run_bdlfi_sweep(*bfn_, {1e-4, 1e-3, 1e-2}, runner);
+  util::set_interrupt_requested(false);
+  EXPECT_TRUE(sweep.interrupted);
+  ASSERT_EQ(sweep.points.size(), 1u);
+  EXPECT_EQ(sweep.points[0].p, 1e-4);
+  EXPECT_EQ(sweep.points[0].stats.samples, 2u * 20u);
+}
+
+TEST_F(InjectTest, InterruptedLayerCampaignReportsFinishedLayersOnly) {
+  mcmc::RunnerConfig runner;
+  runner.num_chains = 2;
+  runner.mh.samples = 10;
+  runner.mh.burn_in = 5;
+  runner.seed = 8;
+  runner.round_hook = [](const obs::RoundEvent&) {
+    util::set_interrupt_requested(true);
+  };
+  util::set_interrupt_requested(false);
+  const auto points = run_layer_campaign(*net_, data_->inputs, data_->labels,
+                                         AvfProfile::uniform(), 1e-3, runner);
+  util::set_interrupt_requested(false);
+  ASSERT_EQ(points.size(), 1u);  // fc1 finished; fc2 was interrupted
+  EXPECT_EQ(points[0].layer_name, "fc1");
+  EXPECT_EQ(points[0].stats.samples, 2u * 10u);
 }
 
 TEST_F(InjectTest, RandomFiBasicStatistics) {

@@ -199,6 +199,8 @@ TEST(ReplayParityTest, FirstReplayLayerPerSiteKind) {
     std::int64_t expected = 0;
     switch (entry.site) {
       case InjectionSpace::SiteKind::kParam:
+      case InjectionSpace::SiteKind::kCode:
+      case InjectionSpace::SiteKind::kCompute:
         expected = entry.layer;
         break;
       case InjectionSpace::SiteKind::kInput:

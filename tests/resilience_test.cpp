@@ -89,23 +89,31 @@ class NanTarget : public bayes::MaskTarget {
   bool requires_network_eval() const override { return false; }
 };
 
-/// A healthy prior target that burns wall-clock on every density evaluation,
-/// to trip the cooperative watchdog.
+/// A healthy prior target that overruns a round timeout by construction, to
+/// trip the cooperative watchdog: it sleeps for `sleep_ms` in the first
+/// density evaluation the watchdog times. (The chain's start-up evaluation
+/// comes before the watch starts, so that is the second call.)
 class SlowTarget : public bayes::MaskTarget {
  public:
-  SlowTarget(bayes::BayesianFaultNetwork& net, double p) : prior_(net, p) {}
+  SlowTarget(bayes::BayesianFaultNetwork& net, double p, double sleep_ms)
+      : prior_(net, p), sleep_ms_(sleep_ms) {}
   double log_density(const FaultMask& mask) override {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    if (++calls_ == 2) {
+      std::this_thread::sleep_for(
+          std::chrono::duration<double, std::milli>(sleep_ms_));
+    }
     return prior_.log_density(mask);
   }
   std::optional<double> analytic_toggle_delta(const FaultMask&,
                                               std::int64_t) override {
-    return std::nullopt;  // force every move through the slow path
+    return std::nullopt;  // force every move through log_density
   }
   bool requires_network_eval() const override { return false; }
 
  private:
   bayes::PriorTarget prior_;
+  double sleep_ms_;
+  int calls_ = 0;
 };
 
 RunnerConfig small_runner() {
@@ -491,15 +499,19 @@ TEST_F(ResilienceTest, FewerThanTwoSurvivorsFailsLoudlyWithoutAborting) {
 }
 
 TEST_F(ResilienceTest, TimedOutChainIsQuarantined) {
+  // The slow chain sleeps twice the timeout in one call, so it times out
+  // whatever the host load. A healthy chain's whole round takes a few ms,
+  // even under ASan: the timeout leaves it far more than 20x headroom.
+  constexpr double kTimeoutMs = 1000.0;
   RunnerConfig config = small_runner();
   config.num_chains = 3;
-  config.supervisor.round_timeout_ms = 10.0;
+  config.supervisor.round_timeout_ms = kTimeoutMs;
   config.supervisor.max_retries = 0;
   const double p = 1e-3;
   ChainTargetFactory factory = [p](bayes::BayesianFaultNetwork& net,
                                    std::size_t chain)
       -> std::unique_ptr<bayes::MaskTarget> {
-    if (chain == 1) return std::make_unique<SlowTarget>(net, p);
+    if (chain == 1) return std::make_unique<SlowTarget>(net, p, 2 * kTimeoutMs);
     return std::make_unique<bayes::PriorTarget>(net, p);
   };
 

@@ -116,17 +116,48 @@ Subject load_subject(const Flags& args) {
   return subject;
 }
 
-bayes::BayesianFaultNetwork make_bfn(Subject& subject, const Flags& args) {
-  fault::AvfProfile profile = fault::AvfProfile::uniform();
+// Numeric flags are range-checked here, at the CLI boundary, with the same
+// bounds a fleet spec enforces (fleet/spec.cpp validate_campaign): the
+// library CHECKs them too, but as programming errors that abort.
+[[noreturn]] void bad_flag(const std::string& key, double value,
+                           const char* rule) {
+  std::fprintf(stderr, "bad value for --%s: %g (%s)\n", key.c_str(), value,
+               rule);
+  std::exit(2);
+}
+
+/// A flip probability: must lie in (0, 1).
+double probability_flag(const Flags& args, const std::string& key,
+                        double fallback) {
+  const double p = args.get(key, fallback);
+  if (!(p > 0.0 && p < 1.0)) bad_flag(key, p, "must be in (0, 1)");
+  return p;
+}
+
+/// A count that must be at least 1.
+std::size_t count_flag(const Flags& args, const std::string& key,
+                       std::size_t fallback) {
+  const std::size_t n = args.get(key, fallback);
+  if (n == 0) bad_flag(key, 0.0, "must be >= 1");
+  return n;
+}
+
+fault::AvfProfile avf_from(const Flags& args) {
   const std::string avf = args.get("avf", "uniform");
-  if (avf == "exponent") profile = fault::AvfProfile::exponent_weighted(4.0);
-  if (avf == "mantissa") profile = fault::AvfProfile::mantissa_only();
-  if (avf == "sign-exponent") {
-    profile = fault::AvfProfile::sign_exponent_only();
-  }
-  // ABFT is a deployment property of the subject network: set it before the
-  // BayesianFaultNetwork clones, so every chain replica checks (and the
-  // campaign fingerprint records the mode).
+  if (avf == "uniform") return fault::AvfProfile::uniform();
+  if (avf == "exponent") return fault::AvfProfile::exponent_weighted(4.0);
+  if (avf == "mantissa") return fault::AvfProfile::mantissa_only();
+  if (avf == "sign-exponent") return fault::AvfProfile::sign_exponent_only();
+  std::fprintf(stderr,
+               "unknown --avf=%s (uniform|exponent|mantissa|sign-exponent)\n",
+               avf.c_str());
+  std::exit(2);
+}
+
+/// ABFT is a deployment property of the subject network: set it before any
+/// BayesianFaultNetwork clones it, so every chain replica checks (and the
+/// campaign fingerprint records the mode).
+void deploy_abft(Subject& subject, const Flags& args) {
   tensor::abft::Config abft;
   const std::string abft_flag = args.get("abft", "off");
   if (!tensor::abft::parse_mode(abft_flag, &abft.mode)) {
@@ -135,6 +166,11 @@ bayes::BayesianFaultNetwork make_bfn(Subject& subject, const Flags& args) {
     std::exit(2);
   }
   subject.net.set_abft(abft);
+}
+
+bayes::BayesianFaultNetwork make_bfn(Subject& subject, const Flags& args) {
+  const fault::AvfProfile profile = avf_from(args);
+  deploy_abft(subject, args);
   bayes::TargetSpec spec = bayes::TargetSpec::all_parameters();
   const std::string target = args.get("target", "params");
   if (target == "compute") {
@@ -153,10 +189,10 @@ bayes::BayesianFaultNetwork make_bfn(Subject& subject, const Flags& args) {
 
 mcmc::RunnerConfig runner_from(const Flags& args, bench::ObsSession& session) {
   mcmc::RunnerConfig runner;
-  runner.num_chains = args.get("chains", std::size_t{4});
-  runner.mh.samples = args.get("samples-per-chain", std::size_t{100});
+  runner.num_chains = count_flag(args, "chains", 4);
+  runner.mh.samples = count_flag(args, "samples-per-chain", 100);
   runner.mh.burn_in = args.get("burn-in", std::size_t{30});
-  runner.mh.thin = args.get("thin", std::size_t{5});
+  runner.mh.thin = count_flag(args, "thin", 5);
   runner.seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{1}));
   bench::parse_campaign_flags(args, session, runner);
   return runner;
@@ -203,13 +239,15 @@ int cmd_train(const Flags& args) {
 }
 
 int cmd_sweep(const Flags& args, bench::ObsSession& session) {
+  const double p_lo = probability_flag(args, "p-lo", 1e-5);
+  const double p_hi = probability_flag(args, "p-hi", 1e-1);
+  if (p_lo > p_hi) bad_flag("p-lo", p_lo, "must not exceed --p-hi");
+  const mcmc::RunnerConfig runner = runner_from(args, session);
   Subject subject = load_subject(args);
   auto bfn = make_bfn(subject, args);
-  const auto ps = inject::log_space(args.get("p-lo", 1e-5),
-                                    args.get("p-hi", 1e-1),
-                                    args.get("points", std::size_t{9}));
-  const auto sweep =
-      inject::run_bdlfi_sweep(bfn, ps, runner_from(args, session));
+  const auto ps =
+      inject::log_space(p_lo, p_hi, args.get("points", std::size_t{9}));
+  const auto sweep = inject::run_bdlfi_sweep(bfn, ps, runner);
   util::Table table({"p", "mean_error_%", "q05", "q95", "accept", "rhat",
                      "ess", "quar"});
   for (const auto& pt : sweep.points) {
@@ -229,11 +267,14 @@ int cmd_sweep(const Flags& args, bench::ObsSession& session) {
 }
 
 int cmd_layers(const Flags& args, bench::ObsSession& session) {
+  const double p = probability_flag(args, "p", 1e-3);
+  const mcmc::RunnerConfig runner = runner_from(args, session);
   Subject subject = load_subject(args);
+  const fault::AvfProfile profile = avf_from(args);
+  deploy_abft(subject, args);
   const auto points = inject::run_layer_campaign(
-      subject.net, subject.test.inputs, subject.test.labels,
-      fault::AvfProfile::uniform(), args.get("p", 1e-3),
-      runner_from(args, session), args.get("dose", 0.0));
+      subject.net, subject.test.inputs, subject.test.labels, profile, p,
+      runner, args.get("dose", 0.0));
   util::Table table({"idx", "layer", "kind", "params", "mean_error_%",
                      "deviation_%"});
   for (const auto& pt : points) {
@@ -246,19 +287,19 @@ int cmd_layers(const Flags& args, bench::ObsSession& session) {
 }
 
 int cmd_random(const Flags& args) {
+  const double p = probability_flag(args, "p", 1e-3);
+  inject::RandomFiConfig config;
+  config.injections = count_flag(args, "injections", 1000);
+  config.seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{1}));
   Subject subject = load_subject(args);
   auto bfn = make_bfn(subject, args);
-  inject::RandomFiConfig config;
-  config.injections = args.get("injections", std::size_t{1000});
-  config.seed = static_cast<std::uint64_t>(args.get("seed", std::int64_t{1}));
-  const auto result =
-      inject::run_random_fi(bfn, args.get("p", 1e-3), config);
+  const auto result = inject::run_random_fi(bfn, p, config);
   std::printf("random FI @ p=%.3g over %zu injections:\n"
               "  mean error %.3f%% (golden %.3f%%), ci95 ±%.3f\n"
               "  deviation %.3f%%  SDC %.3f%%  detected %.3f%%\n"
               "  outcomes: masked=%zu sdc=%zu detected=%zu corrected=%zu\n"
               "  detection coverage %.1f%%  SDC rate %.1f%%\n",
-              args.get("p", 1e-3), result.injections, result.mean_error,
+              p, result.injections, result.mean_error,
               bfn.golden_error(), result.ci95_halfwidth,
               result.mean_deviation, result.mean_sdc, result.mean_detected,
               result.outcome_masked, result.outcome_sdc,
@@ -268,17 +309,17 @@ int cmd_random(const Flags& args) {
 }
 
 int cmd_complete(const Flags& args, bench::ObsSession& session) {
-  Subject subject = load_subject(args);
-  auto bfn = make_bfn(subject, args);
-  const double p = args.get("p", 1e-3);
-  mcmc::TargetFactory factory = [p](bayes::BayesianFaultNetwork& net) {
-    return std::make_unique<bayes::PriorTarget>(net, p);
-  };
+  const double p = probability_flag(args, "p", 1e-3);
   mcmc::CompletenessCriterion criterion;
   criterion.rhat_threshold = args.get("rhat", 1.05);
   criterion.mean_rel_tol = args.get("tol", 0.05);
-  criterion.max_rounds = args.get("max-rounds", std::size_t{8});
+  criterion.max_rounds = count_flag(args, "max-rounds", 8);
   const mcmc::RunnerConfig runner = runner_from(args, session);
+  Subject subject = load_subject(args);
+  auto bfn = make_bfn(subject, args);
+  mcmc::TargetFactory factory = [p](bayes::BayesianFaultNetwork& net) {
+    return std::make_unique<bayes::PriorTarget>(net, p);
+  };
   if (session.reporter() != nullptr) {
     // Stamp every event with the campaign's config fingerprint (the same id
     // checkpoints carry), so concurrent streams merge unambiguously in the
@@ -321,8 +362,26 @@ int cmd_complete(const Flags& args, bench::ObsSession& session) {
 }
 
 int cmd_harden(const Flags& args, bench::ObsSession& session) {
+  const double p = probability_flag(args, "p", 1e-4);
+  mcmc::RunnerConfig runner = runner_from(args, session);
+  runner.mh.record_masks = true;
+  runner.gibbs.record_masks = true;
+  mcmc::CompletenessCriterion criterion;
+  criterion.rhat_threshold = args.get("rhat", 1.05);
+  criterion.mean_rel_tol = args.get("tol", 0.05);
+  criterion.max_rounds = count_flag(args, "max-rounds", 4);
+  harden::FaultAwareConfig hcfg;
+  hcfg.base.epochs = args.get("tune-epochs", std::size_t{30});
+  hcfg.base.batch_size = args.get("batch", std::size_t{32});
+  hcfg.base.lr = args.get("tune-lr", 0.02);
+  hcfg.base.seed =
+      static_cast<std::uint64_t>(args.get("tune-seed", std::int64_t{183}));
+  hcfg.inject_prob = args.get("inject-prob", 0.7);
+  if (!(hcfg.inject_prob >= 0.0 && hcfg.inject_prob <= 1.0)) {
+    bad_flag("inject-prob", hcfg.inject_prob, "must be in [0, 1]");
+  }
+  hcfg.max_flips = count_flag(args, "max-flips", 2);
   Subject subject = load_subject(args);
-  const double p = args.get("p", 1e-4);
 
   // Profile acquisition: reuse a saved one (--profile) or run a fresh
   // deviation-tempered campaign with retained-mask recording and summarize it.
@@ -340,19 +399,12 @@ int cmd_harden(const Flags& args, bench::ObsSession& session) {
                 profile_in.c_str(), profile.samples(), profile.total_flips());
   } else {
     auto bfn = make_bfn(subject, args);
-    mcmc::RunnerConfig runner = runner_from(args, session);
-    runner.mh.record_masks = true;
-    runner.gibbs.record_masks = true;
     const double lambda = args.get("lambda", 0.05);
     mcmc::TargetFactory factory =
         [p, lambda](bayes::BayesianFaultNetwork& net) {
           return std::make_unique<bayes::DeviationTemperedTarget>(net, p,
                                                                   lambda);
         };
-    mcmc::CompletenessCriterion criterion;
-    criterion.rhat_threshold = args.get("rhat", 1.05);
-    criterion.mean_rel_tol = args.get("tol", 0.05);
-    criterion.max_rounds = args.get("max-rounds", std::size_t{4});
     const auto result =
         mcmc::run_until_complete(bfn, factory, p, runner, criterion);
     if (result.final_result.failed) {
@@ -377,14 +429,6 @@ int cmd_harden(const Flags& args, bench::ObsSession& session) {
   // Fault-aware fine-tuning in place; Ctrl-C stops at a batch boundary and
   // the partial result is still saved (exit 5, like interrupted campaigns).
   util::install_interrupt_handlers();
-  harden::FaultAwareConfig hcfg;
-  hcfg.base.epochs = args.get("tune-epochs", std::size_t{30});
-  hcfg.base.batch_size = args.get("batch", std::size_t{32});
-  hcfg.base.lr = args.get("tune-lr", 0.02);
-  hcfg.base.seed =
-      static_cast<std::uint64_t>(args.get("tune-seed", std::int64_t{183}));
-  hcfg.inject_prob = args.get("inject-prob", 0.7);
-  hcfg.max_flips = args.get("max-flips", std::size_t{2});
   harden::FaultAwareTrainer trainer(subject.net, profile, hcfg);
   const auto tune = trainer.run(subject.train, subject.test);
   std::printf("fault-aware fine-tune: %zu epochs, %zu batches injected "
