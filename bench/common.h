@@ -79,6 +79,7 @@ class Flags {
     const std::string* v = find(key);
     return v == nullptr ? fallback : *v;
   }
+  bool has(const std::string& key) const { return find(key) != nullptr; }
 
  private:
   const std::string* find(const std::string& key) const {

@@ -17,6 +17,7 @@
 // flag. Finally the worst case: how many adversarial bit flips each float32
 // deployment needs before half of its predictions deviate.
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "bayes/critical.h"
@@ -199,11 +200,12 @@ int main(int argc, char** argv) {
          {Subject{"unprotected", &plain}, Subject{"range_guard", &guarded},
           Subject{"ecc_top20", &hardened}}) {
       const auto result = bayes::find_critical_bits(*subject, crit);
+      // A search that missed the target reports a lower bound, ">N".
+      std::string flips = result.reached_target ? "" : ">";
+      flips += std::to_string(result.mask.num_flips());
       worst.row()
           .col(name)
-          .col(result.reached_target ? std::to_string(result.mask.num_flips())
-                                     : (">" + std::to_string(
-                                                  result.mask.num_flips())))
+          .col(flips)
           .col(result.achieved_deviation)
           .col(result.network_evals);
     }

@@ -63,7 +63,8 @@ done
 # slots too. The plan suite (arena sizing, steady-state reuse, planned vs
 # layer-by-layer parity, checked runs and stateful layers included), the
 # truncated-replay parity suite, the MCMC chains (replicas compiling their
-# own plans), the activation campaigns (input and activation sites replayed
+# own plans; outcome memo and early rejection against chains that run
+# every forward and against fresh full forwards), the activation campaigns (input and activation sites replayed
 # from the golden activation cache, flips staged into a copy of the replay
 # start), the dropout, range-guard and quantized-layer suites (int8 codes
 # XOR'd in place as kCode sites, truncated replay and chains on them), and
@@ -82,9 +83,10 @@ done
 # Targeted checkpoint-input pass: load_checkpoint turns JSON doubles into
 # counts, mask bits and RNG words, and a resume indexes chains and shifts
 # mask bits with them — the hostile-input surface of a campaign. The loader
-# tests (tampered documents included), the kill-and-resume and
-# resume-rejection tests, and the CLI checkpoint chain run sanitized per
-# backend.
+# tests (tampered documents and the optional forwards_skipped counter
+# included), the kill-and-resume tests (a document without that counter
+# too) and resume-rejection tests, and the CLI checkpoint chain run
+# sanitized per backend.
 for backend in scalar avx2; do
   if [ "$backend" = avx2 ] && ! grep -q avx2 /proc/cpuinfo 2>/dev/null; then
     continue
@@ -96,12 +98,14 @@ done
 
 # Targeted flight-recorder pass: the incremental JSONL reader (per-poll
 # fopen/fseek over possibly-torn files), the multi-stream aggregator, the
-# dashboard render/export paths, and the bench-history tracker all juggle
+# dashboard render/export paths, the bench-history tracker and the exact
+# double formatter every checkpoint and result document goes through
+# (to_chars into a stack buffer, pinned to printf's %.17g) all juggle
 # offsets and string slicing — run them sanitized explicitly, including the
 # end-to-end dash + bench_track ctest chains.
 echo "=== flight-recorder / dashboard suite ==="
 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -R 'JsonlTailReader|EventAggregator|FlightRecorder|HistogramQuantiles|BenchHistory|dash_|bench_track_|cli_obs'
+  -R 'JsonlTailReader|EventAggregator|FlightRecorder|HistogramQuantiles|BenchHistory|Json\.NumberExact|dash_|bench_track_|cli_obs'
 
 # Targeted fleet pass: the multiprocess supervisor is the newest
 # signal-and-lifetime-heavy path (fork/waitpid bookkeeping, SIGKILL'd

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "fault/bits.h"
+#include "nn/dropout.h"
 #include "nn/range_guard.h"
 #include "obs/metrics.h"
 #include "tensor/backend/backend.h"
@@ -175,10 +176,16 @@ BayesianFaultNetwork::BayesianFaultNetwork(
   for (std::size_t i = 0; i < cache_.num_layers(); ++i) {
     geometry_.layer_numel[i] = cache_.layer_numel(i);
   }
+  // Top-level layers only, as set_mc_dropout and the guard builders place
+  // them.
   for (std::size_t i = 0; i < net_.num_layers(); ++i) {
-    if (dynamic_cast<nn::RangeGuard*>(&net_.layer(i)) != nullptr) {
+    nn::Layer& layer = net_.layer(i);
+    if (const auto* guard = dynamic_cast<nn::RangeGuard*>(&layer)) {
       has_guards_ = true;
-      break;
+      if (guard->calibrating()) eval_is_pure_ = false;
+    }
+    if (const auto* dropout = dynamic_cast<nn::Dropout*>(&layer)) {
+      if (dropout->mc_mode()) eval_is_pure_ = false;
     }
   }
   rebuild_space();
@@ -188,6 +195,7 @@ BayesianFaultNetwork::BayesianFaultNetwork(const BayesianFaultNetwork& other,
                                            ReplicaTag)
     : net_(other.net_.clone()),
       has_guards_(other.has_guards_),
+      eval_is_pure_(other.eval_is_pure_),
       target_(other.target_),
       profile_(other.profile_),
       eval_inputs_(other.eval_inputs_),
@@ -325,6 +333,11 @@ MaskOutcome BayesianFaultNetwork::evaluate_mask(const FaultMask& mask) {
   outcome.guard_corrections =
       has_guards_ ? nn::total_guard_corrections(net_) - guard0 : 0;
   score_logits(logits, eval_labels_, golden_preds_, outcome);
+  if (eval_is_pure_) {
+    last_mask_ = mask;
+    last_outcome_ = outcome;
+    has_last_ = true;
+  }
   return outcome;
 }
 
@@ -342,6 +355,7 @@ void BayesianFaultNetwork::transition(const FaultMask& from,
                                       const FaultMask& to) {
   const auto delta = FaultMask::symmetric_difference(from, to);
   space_->apply_bits(delta);
+  has_last_ = false;
 }
 
 std::vector<std::int64_t> BayesianFaultNetwork::predict_current(

@@ -20,6 +20,12 @@
 // The network owned here is private to the instance, so independent MCMC
 // chains each hold their own BayesianFaultNetwork and run lock-free in
 // parallel.
+//
+// When the eval forward is pure — a function of the mask alone, which holds
+// unless an MC-mode Dropout or a calibrating RangeGuard sits in the network
+// — the instance remembers the mask and outcome of its last evaluate_mask
+// (last_outcome). A chain reads it to reuse the forward its target just ran
+// instead of running it again (DESIGN.md §10).
 #pragma once
 
 #include <cstdint>
@@ -167,8 +173,23 @@ class BayesianFaultNetwork {
   EvalOutcome evaluate(const EvalRequest& request);
 
   /// Applies one mask, measures, reverts. Allocation-free in steady state:
-  /// the forward runs on the network's ExecutionPlan (DESIGN.md §13).
+  /// the forward runs on the network's ExecutionPlan (DESIGN.md §13), and
+  /// the remembered mask copy reuses its storage. Always runs the forward.
   MaskOutcome evaluate_mask(const FaultMask& mask);
+
+  /// True when an eval forward is a pure function of the mask: no top-level
+  /// Dropout in MC mode and no RangeGuard calibrating. Decided once at
+  /// construction (the owned network's layer modes cannot change after it)
+  /// and copied by replicate(). Chains skip forwards only when it holds.
+  bool eval_is_pure() const { return eval_is_pure_; }
+
+  /// The outcome of the most recent evaluate_mask when that call evaluated
+  /// `mask` and the eval forward is pure, so running it again would
+  /// reproduce it; nullptr otherwise. Valid until the next evaluate_mask
+  /// or transition.
+  const MaskOutcome* last_outcome(const FaultMask& mask) const {
+    return has_last_ && last_mask_ == mask ? &last_outcome_ : nullptr;
+  }
 
   /// Output logits of the network corrupted by `mask` over the eval batch —
   /// bit-identical between the truncated and full evaluation paths. State is
@@ -181,7 +202,8 @@ class BayesianFaultNetwork {
   /// Applies the XOR delta between the network's current mask state and a new
   /// mask — the O(|Δ|) state transition used by MCMC kernels. The caller is
   /// responsible for tracking which mask is currently applied. Parameter
-  /// sites only (transient input/activation sites cannot persist).
+  /// sites only (transient input/activation sites cannot persist). Forgets
+  /// the last outcome: later evaluations start from the new state.
   void transition(const FaultMask& from, const FaultMask& to);
 
   /// Predictions of the (currently corrupted or clean) network on an
@@ -221,6 +243,7 @@ class BayesianFaultNetwork {
   nn::Network net_;
   std::unique_ptr<InjectionSpace> space_;
   bool has_guards_ = false;  // cached: avoids a dynamic_cast scan per eval
+  bool eval_is_pure_ = true;
   TargetSpec target_;
   AvfProfile profile_;
   tensor::Tensor eval_inputs_;
@@ -234,6 +257,11 @@ class BayesianFaultNetwork {
   // Reusable staging tensor for masks that corrupt the replay-start
   // activation or the input batch; its storage amortizes across evaluations.
   tensor::Tensor start_scratch_;
+  // The last evaluate_mask of a pure eval forward (see last_outcome). Not
+  // copied by replicate(): a replica has run no forward yet.
+  bool has_last_ = false;
+  FaultMask last_mask_;
+  MaskOutcome last_outcome_;
 };
 
 }  // namespace bdlfi::bayes

@@ -7,17 +7,24 @@
 //    *predictive* distribution of classification error (Figs. 2 & 4). Its
 //    structure (independent Bernoulli bits) makes toggle deltas analytic, so
 //    MH moves cost no forward passes; network evaluations happen only when a
-//    retained sample's error statistic is recorded. This is the "algorithmic
-//    acceleration" §I advantage 2 refers to.
+//    retained sample's error statistic is recorded, and only for a state
+//    the chain has not evaluated since it last moved. This is the
+//    "algorithmic acceleration" §I advantage 2 refers to.
 //
 //  * DeviationTemperedTarget — π(e) ∝ prior(e) · exp(λ · dev(e)) where
 //    dev(e) is the fraction of evaluation points whose prediction deviates
 //    from the golden run. With λ > 0 this tilts mass toward *error-causing*
 //    fault patterns (posterior over "what faults break this network"), the
-//    analysis behind the decision-boundary discussion of §III.
+//    analysis behind the decision-boundary discussion of §III. Every
+//    log_density call costs one forward pass, but its upper bound
+//    log prior + max(λ, 0) costs none: a sampler that draws its
+//    accept/reject uniform first skips the forward of any proposal the
+//    bound already rejects, e.g. a toggle onto a dead int8 bit or a
+//    protected element (bound −∞) or, at small p, almost every added bit.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 
 #include "bayes/fault_network.h"
@@ -39,6 +46,16 @@ class MaskTarget {
 
   /// True when log_density requires a forward pass (samplers budget these).
   virtual bool requires_network_eval() const = 0;
+
+  /// An upper bound on log_density(mask) that costs no forward pass;
+  /// +infinity (the default) declares none, so a wrapper that does not
+  /// forward this call stays correct. Contract: the computed log_density
+  /// never exceeds the computed bound, and where the bound is below
+  /// +infinity log_density is never NaN or +infinity. Samplers use it to
+  /// reject proposals before their forward (DESIGN.md §10).
+  virtual double log_density_bound(const FaultMask& /*mask*/) const {
+    return std::numeric_limits<double>::infinity();
+  }
 };
 
 class PriorTarget : public MaskTarget {
@@ -70,6 +87,8 @@ class DeviationTemperedTarget : public MaskTarget {
     return std::nullopt;  // likelihood term requires a forward pass
   }
   bool requires_network_eval() const override { return true; }
+  /// log prior + max(λ, 0): the deviation share lies in [0, 1].
+  double log_density_bound(const FaultMask& mask) const override;
 
  private:
   BayesianFaultNetwork& net_;

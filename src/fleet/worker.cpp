@@ -97,6 +97,8 @@ std::string result_document(const CampaignSpec& spec,
   w.field("total_samples", static_cast<std::uint64_t>(fin.total_samples));
   w.field("total_network_evals",
           static_cast<std::uint64_t>(fin.total_network_evals));
+  w.field("total_forwards_skipped",
+          static_cast<std::uint64_t>(fin.total_forwards_skipped));
   w.field("outcome_masked",
           static_cast<std::uint64_t>(fin.total_outcome_masked));
   w.field("outcome_sdc", static_cast<std::uint64_t>(fin.total_outcome_sdc));

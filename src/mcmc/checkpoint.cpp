@@ -321,6 +321,8 @@ bool save_checkpoint(const std::string& path, const CampaignCheckpoint& ck) {
     }
     w.field_exact("acceptance_rate", chain.acceptance_rate);
     w.field("network_evals", static_cast<std::uint64_t>(chain.network_evals));
+    w.field("forwards_skipped",
+            static_cast<std::uint64_t>(chain.forwards_skipped));
     w.field("outcome_masked", static_cast<std::uint64_t>(chain.outcome_masked));
     w.field("outcome_sdc", static_cast<std::uint64_t>(chain.outcome_sdc));
     w.field("outcome_detected",
@@ -434,6 +436,11 @@ std::optional<CampaignCheckpoint> load_checkpoint(const std::string& path,
         !read_size(entry, "quarantined_round", &health.quarantined_round) ||
         !read_double(entry, "acceptance_rate", &chain.acceptance_rate) ||
         !read_size(entry, "network_evals", &chain.network_evals) ||
+        // Optional: documents from before the counter existed load with 0
+        // (the count starts from the resume point); a present one must be
+        // a count.
+        (entry.find("forwards_skipped") != nullptr &&
+         !read_size(entry, "forwards_skipped", &chain.forwards_skipped)) ||
         !read_size(entry, "full_evals", &chain.full_evals) ||
         // v2 taxonomy counters: required at v2, absent at v1 (stay zero —
         // the taxonomy starts tallying from the resume point).

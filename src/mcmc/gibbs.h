@@ -4,9 +4,11 @@
 // conditional. Under the prior the conditionals are independent
 // Bernoulli(p_b) and the sweep is exact; under a network-tempered target
 // each coordinate needs the density at both states (one extra forward pass),
-// so sweeps visit a bounded number of coordinates per retained sample. A
-// sweep is the transition kernel run_chain (mh.h) advances the chain with,
-// one sweep per retained sample.
+// so sweeps visit a bounded number of coordinates per retained sample —
+// except a coordinate whose toggle the target's log_density_bound already
+// rejects at the drawn uniform, which costs no forward. A sweep is the
+// transition kernel run_chain (mh.h) advances the chain with, one sweep per
+// retained sample.
 #pragma once
 
 #include "bayes/targets.h"
@@ -28,7 +30,7 @@ class GibbsSampler {
   ChainResult run();
 
  private:
-  void sweep(FaultMask& current, double& current_logd, util::Rng& rng,
+  bool sweep(FaultMask& current, double& current_logd, util::Rng& rng,
              ChainResult& result);
 
   bayes::BayesianFaultNetwork& net_;

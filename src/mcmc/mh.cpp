@@ -1,6 +1,7 @@
 #include "mcmc/mh.h"
 
 #include <cmath>
+#include <optional>
 
 #include "obs/metrics.h"
 #include "util/check.h"
@@ -22,6 +23,10 @@ struct ChainMetrics {
   obs::Counter& samples = obs::MetricsRegistry::global().counter("mcmc.samples");
   obs::Counter& evals =
       obs::MetricsRegistry::global().counter("mcmc.network_evals");
+  obs::Counter& memo_hits =
+      obs::MetricsRegistry::global().counter("mcmc.memo_hits");
+  obs::Counter& early_rejections =
+      obs::MetricsRegistry::global().counter("mcmc.early_rejections");
   static ChainMetrics& get() {
     static ChainMetrics m;
     return m;
@@ -61,6 +66,18 @@ ChainResult run_chain(bayes::BayesianFaultNetwork& net,
   if (target.requires_network_eval()) ++result.network_evals;
   if (pathological_logd(current_logd)) result.diverged = true;
 
+  // Outcome memo: the outcome of `current` while it is known. A retained
+  // eval makes it known; so does a transition that ends on the state the
+  // target just evaluated, which the network remembers as its last
+  // evaluate_mask. Empty whenever the eval forward is not pure.
+  std::optional<bayes::MaskOutcome> known;
+  const auto recall = [&] {
+    const bayes::MaskOutcome* last = net.last_outcome(current);
+    known = last != nullptr ? std::optional(*last) : std::nullopt;
+  };
+  recall();
+  std::size_t memo_hits = 0;
+
   result.error_samples.reserve(config.samples);
   result.deviation_samples.reserve(config.samples);
   result.flips_samples.reserve(config.samples);
@@ -71,7 +88,7 @@ ChainResult run_chain(bayes::BayesianFaultNetwork& net,
   util::Stopwatch watch;
   // One transition; false once the watchdog has fired.
   const auto advance = [&] {
-    transition(current, current_logd, rng, result);
+    if (transition(current, current_logd, rng, result)) recall();
     if (watchdog && watch.millis() > config.round_timeout_ms) {
       result.timed_out = true;
     }
@@ -91,8 +108,15 @@ ChainResult run_chain(bayes::BayesianFaultNetwork& net,
       if (!advance()) break;
     }
     if (result.timed_out) break;
-    const bayes::MaskOutcome outcome = net.evaluate_mask(current);
-    ++result.network_evals;
+    bayes::MaskOutcome outcome;
+    if (known.has_value()) {
+      outcome = *known;
+      ++memo_hits;
+    } else {
+      outcome = net.evaluate_mask(current);
+      ++result.network_evals;
+      if (net.eval_is_pure()) known = outcome;
+    }
     result.error_samples.push_back(outcome.classification_error);
     result.deviation_samples.push_back(outcome.deviation);
     result.flips_samples.push_back(static_cast<double>(outcome.flipped_bits));
@@ -104,11 +128,15 @@ ChainResult run_chain(bayes::BayesianFaultNetwork& net,
     }
     if (config.record_masks) result.mask_samples.push_back(current);
   }
+  // The transitions counted their early rejections into forwards_skipped.
   if (obs::enabled()) {
     ChainMetrics& m = ChainMetrics::get();
     m.samples.add(result.error_samples.size());
     m.evals.add(result.network_evals);
+    m.memo_hits.add(memo_hits);
+    m.early_rejections.add(result.forwards_skipped);
   }
+  result.forwards_skipped += memo_hits;
   result.rng_state = rng.state_save();
   result.final_mask = std::move(current);
   const bayes::EvalStats& stats = net.eval_stats();
@@ -140,11 +168,19 @@ ProposalKernel& MhSampler::pick_kernel(util::Rng& rng) {
   return indep_;
 }
 
-void MhSampler::step(FaultMask& current, double& current_logd,
+bool MhSampler::step(FaultMask& current, double& current_logd,
                      util::Rng& rng, ChainResult& result) {
   ProposalKernel& kernel = pick_kernel(rng);
   Proposal proposal = kernel.propose(current, net_, p_, rng);
   ++proposed_;
+  const auto settle = [this](bool accepted) {
+    if (accepted) ++accepted_;
+    if (obs::enabled()) {
+      MhMetrics& m = MhMetrics::get();
+      m.proposals.add();
+      if (accepted) m.accepts.add();
+    }
+  };
 
   // Fast path: a single-bit move with an analytic density delta needs no
   // density evaluation at all.
@@ -153,14 +189,13 @@ void MhSampler::step(FaultMask& current, double& current_logd,
   const auto delta_bits =
       FaultMask::symmetric_difference(current, proposal.next);
   if (delta_bits.empty()) {
-    ++accepted_;  // proposal == current: trivially accepted, nothing to do
-    if (obs::enabled()) {
-      MhMetrics& m = MhMetrics::get();
-      m.proposals.add();
-      m.accepts.add();
-    }
-    return;
+    settle(true);  // proposal == current: trivially accepted, nothing to do
+    return false;
   }
+  // The step draws one uniform exactly when log α < 0, and a forward draws
+  // none, so drawing it before the forward consumes the same stream.
+  const auto draw_log_u = [&rng] { return std::log(rng.uniform() + 1e-300); };
+  std::optional<double> log_u;
   std::optional<double> analytic;
   if (delta_bits.size() == 1) {
     analytic = target_.analytic_toggle_delta(current, delta_bits[0]);
@@ -169,6 +204,22 @@ void MhSampler::step(FaultMask& current, double& current_logd,
     log_alpha = *analytic + proposal.log_q_ratio;
     next_logd = current_logd + *analytic;
   } else {
+    if (net_.eval_is_pure()) {
+      // Early rejection: the bound, in log_alpha's expression order below,
+      // caps the rounded log α. When even the cap is below 0 the uniform
+      // is drawn now, and a draw at or above the cap rejects the proposal
+      // whatever its forward would say.
+      const double log_alpha_bound = target_.log_density_bound(proposal.next) -
+                                     current_logd + proposal.log_q_ratio;
+      if (log_alpha_bound < 0.0) {
+        log_u = draw_log_u();
+        if (*log_u >= log_alpha_bound) {
+          if (target_.requires_network_eval()) ++result.forwards_skipped;
+          settle(false);
+          return false;
+        }
+      }
+    }
     next_logd = target_.log_density(proposal.next);
     if (target_.requires_network_eval()) ++result.network_evals;
     log_alpha = next_logd - current_logd + proposal.log_q_ratio;
@@ -177,24 +228,20 @@ void MhSampler::step(FaultMask& current, double& current_logd,
   if (pathological_logd(next_logd)) result.diverged = true;
 
   const bool accepted =
-      log_alpha >= 0.0 || std::log(rng.uniform() + 1e-300) < log_alpha;
+      log_alpha >= 0.0 || (log_u ? *log_u : draw_log_u()) < log_alpha;
+  settle(accepted);
   if (accepted) {
     current = std::move(proposal.next);
     current_logd = next_logd;
-    ++accepted_;
   }
-  if (obs::enabled()) {
-    MhMetrics& m = MhMetrics::get();
-    m.proposals.add();
-    if (accepted) m.accepts.add();
-  }
+  return accepted;
 }
 
 ChainResult MhSampler::run() {
   ChainResult result = run_chain(
       net_, target_, p_, config_, config_.thin,
       [this](FaultMask& current, double& logd, util::Rng& rng,
-             ChainResult& r) { step(current, logd, rng, r); });
+             ChainResult& r) { return step(current, logd, rng, r); });
   result.acceptance_rate =
       proposed_ ? static_cast<double>(accepted_) / static_cast<double>(proposed_)
                 : 0.0;

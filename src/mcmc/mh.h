@@ -9,6 +9,12 @@
 // its interrupt and watchdog checks, and evaluating and tallying each
 // retained state. A sampler is a transition kernel handed to it: an MH step
 // (MhSampler) or a Gibbs sweep (GibbsSampler).
+//
+// A chain runs a forward only where its target needs one, without changing
+// a single random draw or accept/reject decision (DESIGN.md §10): a retained
+// state whose outcome the chain already has (it has not moved, or it is the
+// proposal the target just evaluated) reuses it, and a proposal the
+// target's log_density_bound already rejects is rejected before its forward.
 #pragma once
 
 #include <functional>
@@ -62,7 +68,13 @@ struct ChainResult {
   std::vector<double> deviation_samples;  // deviation from golden, %
   std::vector<double> flips_samples;      // #flipped bits per retained sample
   double acceptance_rate = 0.0;
-  std::size_t network_evals = 0;  // forward passes spent
+  /// Forward passes actually run: target evaluations plus retained evals.
+  std::size_t network_evals = 0;
+  /// Forward passes the chain did not need: retained samples served from
+  /// the outcome memo and proposals rejected before their forward. Without
+  /// either shortcut the chain would have run network_evals +
+  /// forwards_skipped forwards.
+  std::size_t forwards_skipped = 0;
   // Fault-outcome taxonomy tallies over the retained samples (masked / SDC /
   // detected-DUE / corrected; see bayes::FaultOutcome). The four counters sum
   // to error_samples.size().
@@ -91,15 +103,17 @@ struct ChainResult {
 };
 
 /// One transition of a chain: moves `current` (whose log density is `logd`)
-/// in place, drawing from `rng`, and counts its own forward passes and any
-/// divergence into the result.
-using Transition = std::function<void(FaultMask& current, double& logd,
+/// in place, drawing from `rng`, and counts its own forward passes (run and
+/// skipped) and any divergence into the result. Returns false when
+/// `current` is certainly unchanged, so the chain keeps its outcome memo.
+using Transition = std::function<bool(FaultMask& current, double& logd,
                                       util::Rng& rng, ChainResult& result)>;
 
 /// Runs one chain: seeds (or restores the cursor), evaluates the initial
 /// density, burns in (fresh chains only), then takes `thin` transitions per
-/// retained sample and evaluates and tallies each retained state. `net` is
-/// mutated during sampling but golden again on return.
+/// retained sample and tallies each retained state, evaluating it unless its
+/// outcome is already known. `net` is mutated during sampling but golden
+/// again on return.
 ChainResult run_chain(bayes::BayesianFaultNetwork& net,
                       bayes::MaskTarget& target, double p,
                       const ChainConfig& config, std::size_t thin,
@@ -115,7 +129,7 @@ class MhSampler {
   ChainResult run();
 
  private:
-  void step(FaultMask& current, double& current_logd, util::Rng& rng,
+  bool step(FaultMask& current, double& current_logd, util::Rng& rng,
             ChainResult& result);
   ProposalKernel& pick_kernel(util::Rng& rng);
 

@@ -53,6 +53,7 @@ CampaignResult pool_chains(const std::vector<ChainResult>& chains,
     for (double f : c.flips_samples) flips.add(f);
     acceptance += c.acceptance_rate;
     result.total_network_evals += c.network_evals;
+    result.total_forwards_skipped += c.forwards_skipped;
     result.total_outcome_masked += c.outcome_masked;
     result.total_outcome_sdc += c.outcome_sdc;
     result.total_outcome_detected += c.outcome_detected;
@@ -418,6 +419,7 @@ CompletenessResult run_until_complete_impl(
                               src.mask_samples.begin(),
                               src.mask_samples.end());
       dst.network_evals += src.network_evals;
+      dst.forwards_skipped += src.forwards_skipped;
       dst.outcome_masked += src.outcome_masked;
       dst.outcome_sdc += src.outcome_sdc;
       dst.outcome_detected += src.outcome_detected;

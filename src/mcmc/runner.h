@@ -76,7 +76,8 @@ struct CampaignResult {
   double mean_acceptance = 0.0;
   CampaignDiagnostics diagnostics;
   std::size_t total_samples = 0;
-  std::size_t total_network_evals = 0;
+  std::size_t total_network_evals = 0;   // forward passes run
+  std::size_t total_forwards_skipped = 0;  // see ChainResult::forwards_skipped
   // Fault-outcome taxonomy pooled over surviving chains' retained samples.
   std::size_t total_outcome_masked = 0;
   std::size_t total_outcome_sdc = 0;

@@ -1,6 +1,7 @@
 #include "obs/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -382,10 +383,13 @@ JsonWriter& JsonWriter::number_exact(double d) {
     return *this;
   }
   // 17 significant digits round-trip any finite double; glibc's strtod is
-  // correctly rounded, so parse(print(d)) == d bit-for-bit.
+  // correctly rounded, so parse(print(d)) == d bit-for-bit. to_chars with a
+  // precision is specified as printf's %.17g in the C locale, without the
+  // format parsing: checkpoints rewrite every sample each round.
   char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  out_ += buf;
+  const auto res = std::to_chars(buf, buf + sizeof(buf), d,
+                                 std::chars_format::general, 17);
+  out_.append(buf, res.ptr);
   return *this;
 }
 

@@ -4,7 +4,9 @@
 // trajectory round for round.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -193,6 +195,50 @@ TEST(Json, NumberExactRoundTripsDoubles) {
   const auto doc = json_parse(w.str());
   ASSERT_TRUE(doc.has_value());
   EXPECT_TRUE(doc->find("nan")->is_null());
+}
+
+// number_exact must print exactly what printf's %.17g prints, so
+// checkpoints, fleet results and BENCH documents keep their bytes.
+TEST(Json, NumberExactMatchesPrintf17g) {
+  const auto expect_printf = [](double v) {
+    JsonWriter w;
+    w.number_exact(v);
+    char want[48];
+    std::snprintf(want, sizeof(want), "%.17g", v);
+    EXPECT_EQ(w.str(), want) << "bits " << std::hex
+                             << std::bit_cast<std::uint64_t>(v);
+  };
+  const double edges[] = {0.0,
+                          -0.0,
+                          0.1,
+                          1e-5,
+                          1e5,
+                          1e16,
+                          1e17,
+                          1e21,
+                          1e22,
+                          -1e-300,
+                          5e-324,
+                          2.2250738585072009e-308,  // largest subnormal
+                          2.2250738585072014e-308,  // smallest normal
+                          1.7976931348623157e308,
+                          1.0 / 3.0,
+                          2.0 / 3.0,
+                          100.0,
+                          99.999999999999986,
+                          0.5,
+                          123456789012345678.0,
+                          9007199254740993.0,
+                          -4.9406564584124654e-324};
+  for (const double v : edges) expect_printf(v);
+  // Random bit patterns cover every exponent; uniform draws cover the
+  // sample-like values a checkpoint carries.
+  util::Rng rng{2024};
+  for (int i = 0; i < 20000; ++i) {
+    const double bits = std::bit_cast<double>(rng());
+    if (std::isfinite(bits)) expect_printf(bits);
+    expect_printf(100.0 * rng.uniform());
+  }
 }
 
 TEST(Json, ParserRejectsMalformedInput) {

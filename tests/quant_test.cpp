@@ -543,7 +543,10 @@ TEST_F(QuantFaultTest, ExactEnumerationOracle) {
   bfn.mutable_space().protect_elements(protect);
 
   const double p = 0.05;
+  // The tempered posterior weighs each mask by prior · exp(λ · dev / 100).
+  const double lambda = 5.0;
   double prior_sum = 0.0, truth = 0.0;
+  double tempered_sum = 0.0, tempered_truth = 0.0;
   for (std::uint32_t pattern = 0; pattern < (1u << 16); ++pattern) {
     std::vector<std::int64_t> flat;
     for (int b = 0; b < 16; ++b) {
@@ -553,11 +556,17 @@ TEST_F(QuantFaultTest, ExactEnumerationOracle) {
     }
     const fault::FaultMask mask{std::move(flat)};
     const double prior = std::exp(bfn.log_prior(mask, p));
+    const bayes::MaskOutcome outcome = bfn.evaluate_mask(mask);
     prior_sum += prior;
-    truth += prior * bfn.evaluate_mask(mask).classification_error;
+    truth += prior * outcome.classification_error;
+    const double weight = prior * std::exp(lambda * outcome.deviation / 100.0);
+    tempered_sum += weight;
+    tempered_truth += weight * outcome.classification_error;
   }
+  tempered_truth /= tempered_sum;
   EXPECT_NEAR(prior_sum, 1.0, 1e-12);
   EXPECT_GT(truth, bfn.golden_error());  // the live bits matter
+  EXPECT_GT(tempered_truth, truth);      // and λ moves the mean
 
   inject::RandomFiConfig fi;
   fi.injections = 4000;
@@ -569,11 +578,12 @@ TEST_F(QuantFaultTest, ExactEnumerationOracle) {
   const mcmc::TargetFactory prior = [p](bayes::BayesianFaultNetwork& n) {
     return std::make_unique<bayes::PriorTarget>(n, p);
   };
-  const auto within_ci = [&](const mcmc::CampaignResult& result) {
+  const auto within_ci = [&](const mcmc::CampaignResult& result,
+                             double want = -1.0) {
     ASSERT_FALSE(result.failed) << result.fail_reason;
     const double half = 1.96 * result.stddev_error /
                         std::sqrt(result.diagnostics.ess);
-    EXPECT_NEAR(result.mean_error, truth, half)
+    EXPECT_NEAR(result.mean_error, want < 0.0 ? truth : want, half)
         << "ESS " << result.diagnostics.ess;
   };
   mcmc::RunnerConfig mh;
@@ -594,6 +604,21 @@ TEST_F(QuantFaultTest, ExactEnumerationOracle) {
   {
     SCOPED_TRACE("Gibbs");
     within_ci(mcmc::run_chains(bfn, prior, p, gibbs));
+  }
+
+  // Under the tempered target most toggles land on dead code bits or
+  // protected words, whose bound is −inf: early rejection skips their
+  // forwards, and the chains must still find the exact tempered mean.
+  const mcmc::TargetFactory tempered = [p, lambda](
+                                           bayes::BayesianFaultNetwork& n) {
+    return std::make_unique<bayes::DeviationTemperedTarget>(n, p, lambda);
+  };
+  for (const mcmc::RunnerConfig* config : {&mh, &gibbs}) {
+    SCOPED_TRACE(config->use_gibbs ? "Gibbs, tempered" : "MH, tempered");
+    const mcmc::CampaignResult result =
+        mcmc::run_chains(bfn, tempered, p, *config);
+    within_ci(result, tempered_truth);
+    EXPECT_GT(result.total_forwards_skipped, 0u);
   }
 }
 

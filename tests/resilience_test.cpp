@@ -11,6 +11,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <regex>
 #include <sstream>
 #include <thread>
 
@@ -56,9 +57,12 @@ class ResilienceTest : public ::testing::Test {
   void TearDown() override { util::set_interrupt_requested(false); }
 
   /// Runs `base` uninterrupted and again interrupted after round 2 and
-  /// resumed; the two campaigns must agree bit for bit.
+  /// resumed; the two campaigns must agree bit for bit. With
+  /// `strip_skip_counter` the checkpoint first loses its forwards_skipped
+  /// fields, like a document written before the counter existed.
   static void expect_resume_is_bit_exact(const RunnerConfig& base,
-                                         const std::string& name);
+                                         const std::string& name,
+                                         bool strip_skip_counter = false);
 
   static std::string fresh_dir(const std::string& name) {
     const std::string dir = ::testing::TempDir() + "bdlfi_resilience_" + name;
@@ -260,6 +264,61 @@ TEST(Checkpoint, RoundtripPreservesEveryFieldBitExactly) {
   EXPECT_EQ(back->health[1].retries, 3u);
   EXPECT_EQ(back->health[1].last_failure, "nan_divergence");
   EXPECT_EQ(back->health[1].quarantined_round, 2u);
+}
+
+TEST(Checkpoint, SkipCounterRoundTripsAndDefaultsToZero) {
+  CampaignCheckpoint ck;
+  ck.fingerprint = 0x0123456789abcdefULL;
+  ck.p = 1e-3;
+  ck.rounds_completed = 1;
+  ChainResult chain;
+  chain.error_samples = {1.0, 2.0};
+  chain.deviation_samples = {0.0, 1.0};
+  chain.flips_samples = {4.0, 5.0};
+  chain.network_evals = 77;
+  chain.forwards_skipped = 55;
+  ck.chains = {chain};
+  ck.cursors = {ChainCursor{}};
+  ck.health = {ChainHealth{}};
+  const std::string dir = ::testing::TempDir() + "bdlfi_ckpt_skip_counter";
+  std::filesystem::remove_all(dir);
+  const std::string path = dir + "/campaign.ckpt.json";
+  ASSERT_TRUE(save_checkpoint(path, ck));
+  std::string error;
+  const auto back = load_checkpoint(path, &error);
+  ASSERT_TRUE(back.has_value()) << error;
+  EXPECT_EQ(back->chains[0].forwards_skipped, 55u);
+  EXPECT_EQ(back->chains[0].network_evals, 77u);
+
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  in.close();
+  const std::string body = text.str();
+  const std::string field = "\"forwards_skipped\":55,";
+  const std::size_t at = body.find(field);
+  ASSERT_NE(at, std::string::npos);
+  const auto load_edited = [&](const std::string& replacement) {
+    std::string edited = body;
+    edited.replace(at, field.size(), replacement);
+    std::ofstream(path) << edited;
+    error.clear();
+    return load_checkpoint(path, &error);
+  };
+  // A document from before the counter: loads, with the counter at 0.
+  const auto old_doc = load_edited("");
+  ASSERT_TRUE(old_doc.has_value()) << error;
+  EXPECT_EQ(old_doc->chains[0].forwards_skipped, 0u);
+  EXPECT_EQ(old_doc->chains[0].network_evals, 77u);
+  // A present counter must still be a count.
+  for (const char* bad : {"\"forwards_skipped\":-1,",
+                          "\"forwards_skipped\":2.5,",
+                          "\"forwards_skipped\":\"7\","}) {
+    SCOPED_TRACE(bad);
+    EXPECT_FALSE(load_edited(bad).has_value());
+    EXPECT_FALSE(error.empty());
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Checkpoint, LoadRejectsMissingAndMalformedFiles) {
@@ -530,7 +589,8 @@ TEST_F(ResilienceTest, TimedOutChainIsQuarantined) {
 // Kill-and-resume.
 
 void ResilienceTest::expect_resume_is_bit_exact(const RunnerConfig& base,
-                                                const std::string& name) {
+                                                const std::string& name,
+                                                bool strip_skip_counter) {
   const CompletenessCriterion criterion = never_converge(4);
   const double p = 1e-3;
   TargetFactory factory = [p](bayes::BayesianFaultNetwork& net) {
@@ -555,6 +615,16 @@ void ResilienceTest::expect_resume_is_bit_exact(const RunnerConfig& base,
   EXPECT_TRUE(partial.interrupted);
   EXPECT_EQ(partial.rounds, 2u);
   ASSERT_TRUE(std::filesystem::exists(checkpoint_path(dir)));
+  if (strip_skip_counter) {
+    std::ifstream in(checkpoint_path(dir));
+    std::stringstream text;
+    text << in.rdbuf();
+    in.close();
+    const std::string stripped = std::regex_replace(
+        text.str(), std::regex("\"forwards_skipped\":[0-9]+,"), "");
+    ASSERT_NE(stripped, text.str());
+    std::ofstream(checkpoint_path(dir)) << stripped;
+  }
 
   // Relaunch with --resume semantics.
   util::set_interrupt_requested(false);
@@ -591,6 +661,12 @@ void ResilienceTest::expect_resume_is_bit_exact(const RunnerConfig& base,
                          b.chains[c].deviation_samples);
     expect_bitwise_equal(a.chains[c].flips_samples, b.chains[c].flips_samples);
     EXPECT_EQ(a.chains[c].network_evals, b.chains[c].network_evals);
+    // A stripped document resumes its skip count from 0.
+    EXPECT_EQ(a.chains[c].forwards_skipped,
+              b.chains[c].forwards_skipped -
+                  (strip_skip_counter
+                       ? partial.final_result.chains[c].forwards_skipped
+                       : 0));
   }
   expect_bitwise_equal({a.mean_error, a.diagnostics.rhat, a.diagnostics.ess},
                        {b.mean_error, b.diagnostics.rhat, b.diagnostics.ess});
@@ -607,6 +683,14 @@ TEST_F(ResilienceTest, ResumeAfterInterruptIsBitExact) {
     base.gibbs.samples = base.mh.samples;
     expect_resume_is_bit_exact(base, gibbs ? "resume_gibbs" : "resume");
   }
+}
+
+// Checkpoints written before forwards_skipped existed carry no such field:
+// they load with the counter at 0 and resume to the same samples.
+TEST_F(ResilienceTest, ResumeFromDocumentWithoutSkipCounterIsBitExact) {
+  RunnerConfig base = small_runner();
+  expect_resume_is_bit_exact(base, "resume_old_document",
+                             /*strip_skip_counter=*/true);
 }
 
 TEST_F(ResilienceTest, ResumeRejectsCursorOutsideTheSpace) {

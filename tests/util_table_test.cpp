@@ -61,10 +61,7 @@ TEST(AsciiPlot, RendersSeriesAndLabels) {
     s.xs.push_back(i);
     s.ys.push_back(i * i);
   }
-  PlotOptions opt;
-  opt.title = "test plot";
-  opt.x_label = "x";
-  opt.y_label = "y";
+  PlotOptions opt{.x_label = "x", .y_label = "y", .title = "test plot"};
   const std::string art = render_plot({s}, opt);
   EXPECT_NE(art.find("test plot"), std::string::npos);
   EXPECT_NE(art.find('*'), std::string::npos);

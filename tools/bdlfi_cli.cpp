@@ -267,6 +267,18 @@ int cmd_sweep(const Flags& args, bench::ObsSession& session) {
 }
 
 int cmd_layers(const Flags& args, bench::ObsSession& session) {
+  // The per-layer campaign targets each layer's parameters in turn, so a
+  // fault-site target or a single layer cannot apply: refuse rather than
+  // silently ignore them.
+  for (const char* flag : {"target", "layer"}) {
+    if (args.has(flag)) {
+      std::fprintf(stderr,
+                   "--%s is not supported by `layers` (it runs one campaign "
+                   "over each layer's parameters)\n",
+                   flag);
+      return 2;
+    }
+  }
   const double p = probability_flag(args, "p", 1e-3);
   const mcmc::RunnerConfig runner = runner_from(args, session);
   Subject subject = load_subject(args);
@@ -517,7 +529,8 @@ void usage() {
       "common: --model --width --image-size --data-seed --avf=uniform|"
       "exponent|mantissa|sign-exponent --layer=<name>\n"
       "        --target=params|compute (weight-memory faults vs transient\n"
-      "          MAC-output faults) --abft=off|detect|correct (checksummed\n"
+      "          MAC-output faults; `layers` takes neither --layer nor\n"
+      "          --target) --abft=off|detect|correct (checksummed\n"
       "          GEMM/conv kernels: flag or repair corrupted output rows)\n"
       "kernels:       --backend=scalar|avx2|auto (SIMD kernel backend;\n"
       "                 default: BDLFI_BACKEND env, else scalar)\n"
