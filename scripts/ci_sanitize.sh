@@ -136,15 +136,18 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure \
 # there are invisible to ASan. TSan cannot share a build with ASan, so it
 # gets its own, instrumented through CMAKE_CXX_FLAGS (compile and link) and
 # limited to the suites that drive the pool from several threads; the MCMC
-# suite runs chain replicas, each with its own plans, concurrently on it, and
+# suite runs chain replicas, each with its own plans, concurrently on it,
 # checked convs verify their samples' windows (shared Stats counters, flip
-# lists) inside tile-parallel loops.
+# lists) inside tile-parallel loops, and the conv backward fills one shared
+# im2col panel from sample tiles, then writes grad_weight tiles from several
+# threads that all read it.
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "$TSAN_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread"
 cmake --build "$TSAN_DIR" -j "$(nproc)" \
-  --target util_thread_pool_test plan_test replay_test mcmc_test abft_test
+  --target util_thread_pool_test plan_test replay_test mcmc_test abft_test \
+  tensor_ops_test
 export TSAN_OPTIONS="halt_on_error=1"
 for backend in scalar avx2; do
   if [ "$backend" = avx2 ] && ! grep -q avx2 /proc/cpuinfo 2>/dev/null; then
@@ -152,5 +155,5 @@ for backend in scalar avx2; do
   fi
   echo "=== thread pool / nested parallel_for suite (TSan) under BDLFI_BACKEND=$backend ==="
   BDLFI_BACKEND="$backend" ctest --test-dir "$TSAN_DIR" --output-on-failure \
-    -R 'ThreadPool|ParallelFor|PlanTest|Replay|McmcTest|AbftConv'
+    -R 'ThreadPool|ParallelFor|PlanTest|Replay|McmcTest|AbftConv|Conv2d'
 done

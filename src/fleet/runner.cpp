@@ -299,6 +299,11 @@ FleetResult run_fleet(const FleetSpec& spec, const FleetOptions& options) {
     s.killed_hung = s.killed_chaos = false;
     const WorkerPaths paths = worker_paths(options.out_dir, c.name, s.attempts);
     std::filesystem::create_directories(paths.campaign_dir);
+    // The supervisor polls this attempt's stream from the fork on, before
+    // the worker's reporter truncates it: a stream left by an earlier fleet
+    // run into the same --out would count that run's rounds here.
+    std::error_code stale_ec;
+    std::filesystem::remove(paths.metrics_path, stale_ec);
     // Restart attempts always resume: the whole point of the per-round
     // checkpoint is that the replacement worker continues the lineage.
     const bool resume = options.resume || s.attempts > 1;

@@ -274,6 +274,13 @@ CheckpointDirLock CheckpointDirLock::acquire(const std::string& dir,
 }
 
 bool save_checkpoint(const std::string& path, const CampaignCheckpoint& ck) {
+  std::error_code ec;
+  const fs::path target(path);
+  if (target.has_parent_path()) fs::create_directories(target.parent_path(), ec);
+  // The document goes to the file one chain at a time: its sample arrays
+  // grow with every round, and a whole-document string would sit beside
+  // the campaign's own streams until the fsync returns.
+  util::AtomicTextWriter file(path);
   obs::JsonWriter w;
   w.begin_object();
   w.field("schema", kCheckpointSchema);
@@ -338,14 +345,14 @@ bool save_checkpoint(const std::string& path, const CampaignCheckpoint& ck) {
     write_double_array(w, "deviation_samples", chain.deviation_samples);
     write_double_array(w, "flips_samples", chain.flips_samples);
     w.end_object();
+    file.append(w.str());
+    w.clear_text();
   }
   w.end_array();
   w.end_object();
 
-  std::error_code ec;
-  const fs::path target(path);
-  if (target.has_parent_path()) fs::create_directories(target.parent_path(), ec);
-  if (!util::write_text_atomic(path, w.str())) {
+  file.append(w.str());
+  if (!file.commit()) {
     BDLFI_LOG_WARN("checkpoint: cannot write %s", path.c_str());
     return false;
   }

@@ -33,12 +33,14 @@ ChainTargetFactory adapt(const TargetFactory& make_target) {
   };
 }
 
-CampaignResult pool_chains(const std::vector<ChainResult>& chains,
-                           const std::vector<ChainHealth>& health) {
+/// Pooled statistics of `chains`; result.chains is left empty. The only
+/// samples copied are the error samples the quantiles sort, and that copy
+/// is gone before the per-stream diagnostics run.
+CampaignResult pool_stats(const std::vector<ChainResult>& chains,
+                          const std::vector<ChainHealth>& health) {
   CampaignResult result;
-  util::SampleSet errors;
   util::RunningStats dev, flips;
-  std::vector<std::vector<double>> error_streams;
+  std::vector<const std::vector<double>*> error_streams;
   double acceptance = 0.0;
   std::size_t surviving = 0;
   for (std::size_t i = 0; i < chains.size(); ++i) {
@@ -48,7 +50,6 @@ CampaignResult pool_chains(const std::vector<ChainResult>& chains,
     }
     const ChainResult& c = chains[i];
     ++surviving;
-    for (double e : c.error_samples) errors.add(e);
     for (double d : c.deviation_samples) dev.add(d);
     for (double f : c.flips_samples) flips.add(f);
     acceptance += c.acceptance_rate;
@@ -62,10 +63,15 @@ CampaignResult pool_chains(const std::vector<ChainResult>& chains,
     result.total_truncated_evals += c.truncated_evals;
     result.total_layers_run += c.layers_run;
     result.total_layers_total += c.layers_total;
-    error_streams.push_back(c.error_samples);
+    error_streams.push_back(&c.error_samples);
+    result.total_samples += c.error_samples.size();
   }
-  result.total_samples = errors.count();
-  if (errors.count() > 0) {
+  if (result.total_samples > 0) {
+    util::SampleSet errors;
+    errors.reserve(result.total_samples);
+    for (const auto* stream : error_streams) {
+      for (double e : *stream) errors.add(e);
+    }
     result.mean_error = errors.mean();
     result.stddev_error = errors.stddev();
     result.q05 = errors.quantile(0.05);
@@ -77,15 +83,15 @@ CampaignResult pool_chains(const std::vector<ChainResult>& chains,
   result.mean_acceptance =
       surviving == 0 ? 0.0 : acceptance / static_cast<double>(surviving);
 
-  if (error_streams.size() >= 2 && error_streams[0].size() >= 2) {
+  if (error_streams.size() >= 2 && error_streams[0]->size() >= 2) {
     result.diagnostics.rhat = util::gelman_rubin(error_streams);
   } else {
     result.diagnostics.rhat = 1.0;
   }
   double ess = 0.0, geweke = 0.0;
-  for (const auto& stream : error_streams) {
-    ess += util::effective_sample_size(stream);
-    geweke = std::max(geweke, std::abs(util::geweke_z(stream)));
+  for (const auto* stream : error_streams) {
+    ess += util::effective_sample_size(*stream);
+    geweke = std::max(geweke, std::abs(util::geweke_z(*stream)));
   }
   result.diagnostics.ess = ess;
   result.diagnostics.geweke_max = geweke;
@@ -100,7 +106,6 @@ CampaignResult pool_chains(const std::vector<ChainResult>& chains,
         "are not trustworthy";
   }
   result.health = health;
-  result.chains = chains;
   return result;
 }
 
@@ -230,8 +235,9 @@ CampaignResult run_chains_impl(const bayes::BayesianFaultNetwork& golden,
   std::vector<ChainCursor> cursors(config.num_chains);
   std::vector<ChainResult> chains =
       run_round(golden, make_target, p, config, 0, sup, cursors);
-  CampaignResult pooled = pool_chains(chains, sup.health());
+  CampaignResult pooled = pool_stats(chains, sup.health());
   for (const ChainResult& c : chains) pooled.interrupted |= c.interrupted;
+  pooled.chains = std::move(chains);
   std::vector<bool> reported(config.num_chains, false);
   report_new_quarantines(config, sup, reported, 0);
   if (pooled.failed) {
@@ -255,7 +261,14 @@ CompletenessResult run_until_complete_impl(
   // Cumulative per-chain sample streams. Each round continues the chain's
   // walk from its cursor (same RNG stream, same mask), so the streams are
   // single long chains and the pooled diagnostics sharpen monotonically.
+  // They are the campaign's one copy of its samples: pooling only reads
+  // them, the checkpoint borrows them, and once pooled they move into
+  // result.final_result.chains on return.
   std::vector<ChainResult> cumulative(config.num_chains);
+  bool pooled_once = false;
+  const auto hand_over_streams = [&] {
+    if (pooled_once) result.final_result.chains = std::move(cumulative);
+  };
 
   double prev_mean = std::numeric_limits<double>::quiet_NaN();
   std::size_t prev_evals = 0;
@@ -349,12 +362,14 @@ CompletenessResult run_until_complete_impl(
     result.rounds = start_round;
     result.resumed_from_round = start_round;
     restored_converged = ck->converged;
-    result.final_result = pool_chains(cumulative, sup.health());
+    result.final_result = pool_stats(cumulative, sup.health());
+    pooled_once = true;
     BDLFI_LOG_INFO("resumed campaign from %s (%zu round(s) done)",
                    ckpt_path.c_str(), start_round);
   }
   if (restored_converged) {
     result.converged = true;
+    hand_over_streams();
     return result;
   }
 
@@ -374,11 +389,13 @@ CompletenessResult run_until_complete_impl(
     ck.prev_mean = prev_mean;
     ck.prev_evals = prev_evals;
     ck.trajectory = result.trajectory;
-    ck.chains = cumulative;
+    ck.chains = std::move(cumulative);  // lent, not copied
     ck.cursors = cursors;
     ck.health = sup.health();
-    if (save_checkpoint(ckpt_path, ck)) {
-      if (config.checkpoint_hook) config.checkpoint_hook(rounds_done, ckpt_path);
+    const bool saved = save_checkpoint(ckpt_path, ck);
+    cumulative = std::move(ck.chains);
+    if (saved && config.checkpoint_hook) {
+      config.checkpoint_hook(rounds_done, ckpt_path);
     }
   };
 
@@ -435,7 +452,8 @@ CompletenessResult run_until_complete_impl(
     round_acceptance /=
         healthy > 0 ? static_cast<double>(healthy) : 1.0;
 
-    CampaignResult pooled = pool_chains(cumulative, sup.health());
+    CampaignResult pooled = pool_stats(cumulative, sup.health());
+    pooled_once = true;
     report_new_quarantines(config, sup, reported, round);
     result.rounds = round + 1;
     result.trajectory.push_back({pooled.total_samples, pooled.mean_error,
@@ -473,6 +491,7 @@ CompletenessResult run_until_complete_impl(
       break;
     }
   }
+  hand_over_streams();
   return result;
 }
 

@@ -109,6 +109,10 @@ class JsonWriter {
   }
 
   const std::string& str() const { return out_; }
+  /// Drops the text emitted so far, once the caller has taken it from
+  /// str(). The nesting state stays, so what follows continues the same
+  /// document: a long one can be written out in pieces.
+  void clear_text() { out_.clear(); }
 
  private:
   void comma();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "tensor/backend/backend.h"
@@ -13,15 +14,16 @@ namespace bdlfi::tensor {
 
 namespace {
 
-// Per-thread grow-only scratch arena for the im2col panels and the GEMM
+// Per-thread grow-only scratch arena for the per-tile panels and the GEMM
 // output staging. A campaign evaluates the same geometry millions of times,
 // so the buffers are sized high-water-mark once per thread. Slots keep the
-// simultaneously-live buffers of one call apart: the forward's panel (0) and
-// staged product (1), the backward's columns (0) and their gradient (1).
-// Calls never nest within a thread: every conv entry point uses its slots
-// only inside its own loop bodies, a forward tile's GEMM, ABFT verification
-// and row recovery are serial, the backward's only parallel call is gemm's
-// row split (whose chunks touch no scratch), and a thread waiting in
+// simultaneously-live buffers of one tile apart: the forward's panel (0) and
+// staged product (1), the backward's column gradient (0) and gathered output
+// gradient (1). Both directions size their tiles by panel_tile, so a
+// backward tile needs no more scratch than the forward tile of the same
+// geometry. Calls never nest within a thread: every conv entry point uses
+// its slots only inside its own loop bodies, a tile's GEMM, ABFT
+// verification and row recovery are serial, and a thread waiting in
 // parallel_for runs chunks of its own call only (util/thread_pool.h). A
 // slot grows to at least kMinScratchFloats at once: which tiles a thread
 // claims varies from call to call, and the floor keeps a thread that has run
@@ -62,6 +64,58 @@ void im2col_ld(const float* input, std::int64_t channels, std::int64_t h,
       }
     }
   }
+}
+
+// Accumulating inverse of im2col_ld: row r of the patch axis is read from
+// cols[r * src_ld + src_col0 ...], so one sample's window of a wide panel
+// scatters back into its own [C, H, W] gradient. col2im is the
+// src_ld == OH*OW, src_col0 == 0 case.
+void col2im_ld(const float* cols, std::int64_t src_ld, std::int64_t src_col0,
+               std::int64_t channels, std::int64_t h, std::int64_t w,
+               const Conv2dSpec& spec, float* input_grad) {
+  const std::int64_t oh = spec.out_h(h), ow = spec.out_w(w);
+  std::int64_t row = 0;
+  for (std::int64_t c = 0; c < channels; ++c) {
+    for (std::int64_t kh = 0; kh < spec.kernel_h; ++kh) {
+      for (std::int64_t kw = 0; kw < spec.kernel_w; ++kw, ++row) {
+        const float* src = cols + row * src_ld + src_col0;
+        for (std::int64_t oy = 0; oy < oh; ++oy) {
+          const std::int64_t iy = oy * spec.stride - spec.pad_h + kh;
+          if (iy < 0 || iy >= h) continue;
+          float* dst_row = input_grad + (c * h + iy) * w;
+          for (std::int64_t ox = 0; ox < ow; ++ox) {
+            const std::int64_t ix = ox * spec.stride - spec.pad_w + kw;
+            if (ix >= 0 && ix < w) dst_row[ix] += src[oy * ow + ox];
+          }
+        }
+      }
+    }
+  }
+}
+
+// Samples per panel tile of a conv over n samples, shared by the forward and
+// the backward's first pass. At most ~256 KiB of [patch, T*OH*OW] panel
+// (cache-resident across the row-block passes) and a bounded [O, T*OH*OW]
+// staging buffer. Within that, the batch splits into up to one tile per pool
+// thread, as long as every tile keeps kMinPanelCols columns: a layer whose
+// whole batch fits one panel (late ResNet blocks, OH*OW = 4) still spreads
+// over the cores, without shrinking panels into the kernels' scalar column
+// remainder. Tiles are then evened out so the last one is not a sliver.
+std::int64_t panel_tile(std::int64_t n, std::int64_t patch, std::int64_t ohow,
+                        std::int64_t o) {
+  constexpr std::int64_t kPanelFloats = 64 * 1024;
+  constexpr std::int64_t kMinPanelCols = 64;
+  const std::int64_t max_tile = std::min(
+      std::clamp<std::int64_t>(
+          kPanelFloats / std::max<std::int64_t>(1, patch * ohow), 1, n),
+      std::max<std::int64_t>(1, (4 << 20) / (o * ohow)));
+  const auto threads =
+      static_cast<std::int64_t>(util::ThreadPool::global().size());
+  const std::int64_t want_tiles = std::clamp<std::int64_t>(
+      std::max((n + max_tile - 1) / max_tile,
+               std::min(threads, n * ohow / kMinPanelCols)),
+      1, n);
+  return (n + want_tiles - 1) / want_tiles;
 }
 
 }  // namespace
@@ -182,25 +236,8 @@ void im2col(const float* input, std::int64_t channels, std::int64_t h,
 
 void col2im(const float* cols, std::int64_t channels, std::int64_t h,
             std::int64_t w, const Conv2dSpec& spec, float* input_grad) {
-  const std::int64_t oh = spec.out_h(h), ow = spec.out_w(w);
-  const std::int64_t cols_w = oh * ow;
-  std::int64_t row = 0;
-  for (std::int64_t c = 0; c < channels; ++c) {
-    for (std::int64_t kh = 0; kh < spec.kernel_h; ++kh) {
-      for (std::int64_t kw = 0; kw < spec.kernel_w; ++kw, ++row) {
-        const float* src = cols + row * cols_w;
-        for (std::int64_t oy = 0; oy < oh; ++oy) {
-          const std::int64_t iy = oy * spec.stride - spec.pad_h + kh;
-          if (iy < 0 || iy >= h) continue;
-          float* dst_row = input_grad + (c * h + iy) * w;
-          for (std::int64_t ox = 0; ox < ow; ++ox) {
-            const std::int64_t ix = ox * spec.stride - spec.pad_w + kw;
-            if (ix >= 0 && ix < w) dst_row[ix] += src[oy * ow + ox];
-          }
-        }
-      }
-    }
-  }
+  col2im_ld(cols, spec.out_h(h) * spec.out_w(w), 0, channels, h, w, spec,
+            input_grad);
 }
 
 Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
@@ -233,26 +270,7 @@ void conv2d_forward_into(const Tensor& input, const Tensor& weight,
                   "conv2d_forward_into cannot run in place");
   if (n == 0) return;
 
-  // Samples per panel. At most ~256 KiB of panel (cache-resident across the
-  // row-block passes) and a bounded per-tile output staging buffer. Within
-  // that, the batch splits into up to one tile per pool thread, as long as
-  // every tile keeps kMinPanelCols columns: a layer whose whole batch fits
-  // one panel (late ResNet blocks, OH*OW = 4) still spreads over the cores,
-  // without shrinking panels into the kernels' scalar column remainder.
-  // Tiles are then evened out so the last one is not a sliver.
-  constexpr std::int64_t kPanelFloats = 64 * 1024;
-  constexpr std::int64_t kMinPanelCols = 64;
-  const std::int64_t max_tile = std::min(
-      std::clamp<std::int64_t>(
-          kPanelFloats / std::max<std::int64_t>(1, patch * ohow), 1, n),
-      std::max<std::int64_t>(1, (4 << 20) / (o * ohow)));
-  const auto threads =
-      static_cast<std::int64_t>(util::ThreadPool::global().size());
-  const std::int64_t want_tiles = std::clamp<std::int64_t>(
-      std::max((n + max_tile - 1) / max_tile,
-               std::min(threads, n * ohow / kMinPanelCols)),
-      1, n);
-  const std::int64_t tile = (n + want_tiles - 1) / want_tiles;
+  const std::int64_t tile = panel_tile(n, patch, ohow, o);
   const std::int64_t num_tiles = (n + tile - 1) / tile;
 
   const float* bias_data = bias.empty() ? nullptr : bias.data();
@@ -301,37 +319,108 @@ void conv2d_backward(const Tensor& input, const Tensor& weight,
                      const Tensor& grad_output, const Conv2dSpec& spec,
                      Tensor& grad_input, Tensor& grad_weight,
                      Tensor& grad_bias) {
+  BDLFI_CHECK(input.shape().rank() == 4 && weight.shape().rank() == 4);
   const std::int64_t n = input.shape()[0], c = input.shape()[1],
                      h = input.shape()[2], w = input.shape()[3];
   const std::int64_t o = weight.shape()[0];
   const std::int64_t oh = spec.out_h(h), ow = spec.out_w(w);
+  const std::int64_t ohow = oh * ow;
   const std::int64_t patch = c * spec.kernel_h * spec.kernel_w;
+  const std::int64_t chw = c * h * w;
+  BDLFI_CHECK(patch > 0 && o > 0 && ohow > 0);
+  BDLFI_CHECK(grad_output.shape() == Shape({n, o, oh, ow}));
 
   grad_input = Tensor{input.shape()};
   grad_weight = Tensor{weight.shape()};
   grad_bias = Tensor{Shape{o}};
+  if (n == 0) return;
 
-  // Serial over batch: grad_weight accumulation would race otherwise, and the
-  // inner GEMMs already parallelize.
-  float* cols = scratch_floats(0, static_cast<std::size_t>(patch * oh * ow));
-  float* dcols = scratch_floats(1, static_cast<std::size_t>(patch * oh * ow));
-  for (std::int64_t s = 0; s < n; ++s) {
-    const float* in = input.data() + s * c * h * w;
-    const float* dout = grad_output.data() + s * o * oh * ow;
-    im2col(in, c, h, w, spec, cols);
-    // dW += dOut [O, OH*OW] x cols^T [OH*OW, patch]
-    gemm(false, true, o, patch, oh * ow, 1.0f, dout, oh * ow, cols,
-         oh * ow, 1.0f, grad_weight.data(), patch);
-    // dCols = W^T [patch, O] x dOut [O, OH*OW]
-    gemm(true, false, patch, oh * ow, o, 1.0f, weight.data(), patch, dout,
-         oh * ow, 0.0f, dcols, oh * ow);
-    col2im(dcols, c, h, w, spec, grad_input.data() + s * c * h * w);
-    for (std::int64_t oc = 0; oc < o; ++oc) {
-      const float* plane = dout + oc * oh * ow;
-      float acc = 0.0f;
-      for (std::int64_t i = 0; i < oh * ow; ++i) acc += plane[i];
-      grad_bias[oc] += acc;
-    }
+  // The batch runs in consecutive chunks whose im2col columns, side by side,
+  // fit one [patch, chunk*OH*OW] panel of at most kPanelBudgetFloats (4 MiB;
+  // one sample at least). The panel is allocated per call: a grow-once
+  // thread-local one would stay on the calling thread through every later
+  // campaign.
+  constexpr std::int64_t kPanelBudgetFloats = 1 << 20;
+  const std::int64_t chunk =
+      std::clamp<std::int64_t>(kPanelBudgetFloats / (patch * ohow), 1, n);
+  const auto panel = std::make_unique_for_overwrite<float[]>(
+      static_cast<std::size_t>(patch * chunk * ohow));
+
+  // grad_weight [O, patch] splits into tiles of kTileRows rows, and their
+  // columns into blocks of at least kMinTileCols only as far as needed for a
+  // few tiles per pool thread, so that uneven tiles even out.
+  constexpr std::int64_t kTileRows = 4, kMinTileCols = 8;
+  const auto threads =
+      static_cast<std::int64_t>(util::ThreadPool::global().size());
+  const std::int64_t tile_rows = std::min(o, kTileRows);
+  const std::int64_t row_tiles = (o + tile_rows - 1) / tile_rows;
+  const std::int64_t col_split = std::clamp<std::int64_t>(
+      (4 * threads + row_tiles - 1) / row_tiles, 1,
+      std::max<std::int64_t>(1, patch / kMinTileCols));
+  const std::int64_t tile_cols = (patch + col_split - 1) / col_split;
+  const std::int64_t col_tiles = (patch + tile_cols - 1) / tile_cols;
+
+  const backend::KernelBackend& be = backend::active();
+  for (std::int64_t s0 = 0; s0 < n; s0 += chunk) {
+    const std::int64_t cn = std::min(chunk, n - s0);
+    const std::int64_t pw = cn * ohow;  // batch panel width
+
+    // Pass 1, over sample tiles: im2col into the batch panel, then
+    // dCols = W^T [patch, O] x dOut [O, T*OH*OW] on the tile's gathered
+    // output gradient, scattered back per sample by col2im.
+    const std::int64_t tile = panel_tile(cn, patch, ohow, o);
+    const std::int64_t num_tiles = (cn + tile - 1) / tile;
+    util::parallel_for(0, static_cast<std::size_t>(num_tiles),
+                       [&](std::size_t ti) {
+      const std::int64_t t0 = static_cast<std::int64_t>(ti) * tile;
+      const std::int64_t t_n = std::min(tile, cn - t0);
+      const std::int64_t tw = t_n * ohow;  // tile panel width
+      float* dout = scratch_floats(1, static_cast<std::size_t>(o * tw));
+      for (std::int64_t t = 0; t < t_n; ++t) {
+        const std::int64_t s = s0 + t0 + t;
+        im2col_ld(input.data() + s * chw, c, h, w, spec, panel.get(), pw,
+                  (t0 + t) * ohow);
+        const float* g = grad_output.data() + s * o * ohow;
+        for (std::int64_t oc = 0; oc < o; ++oc) {
+          std::copy_n(g + oc * ohow, ohow, dout + oc * tw + t * ohow);
+        }
+      }
+      float* dcols = scratch_floats(0, static_cast<std::size_t>(patch * tw));
+      be.gemm_rows(true, false, 0, patch, tw, o, 1.0f, weight.data(), patch,
+                   dout, tw, 0.0f, dcols, tw);
+      for (std::int64_t t = 0; t < t_n; ++t) {
+        col2im_ld(dcols, tw, t * ohow, c, h, w, spec,
+                  grad_input.data() + (s0 + t0 + t) * chw);
+      }
+    });
+
+    // Pass 2, over grad_weight tiles: each tile adds every sample's
+    // dOut [rows, OH*OW] x cols^T [OH*OW, cols] onto its own elements in
+    // sample order, then the first column of tiles sums grad_bias.
+    util::parallel_for(0, static_cast<std::size_t>(row_tiles * col_tiles),
+                       [&](std::size_t gi) {
+      const std::int64_t r0 = static_cast<std::int64_t>(gi) / col_tiles *
+                              tile_rows;
+      const std::int64_t r1 = std::min(o, r0 + tile_rows);
+      const std::int64_t c0 = static_cast<std::int64_t>(gi) % col_tiles *
+                              tile_cols;
+      const std::int64_t c1 = std::min(patch, c0 + tile_cols);
+      for (std::int64_t s = s0; s < s0 + cn; ++s) {
+        be.gemm_rows(false, true, r0, r1, c1 - c0, ohow, 1.0f,
+                     grad_output.data() + s * o * ohow, ohow,
+                     panel.get() + c0 * pw + (s - s0) * ohow, pw, 1.0f,
+                     grad_weight.data() + c0, patch);
+      }
+      if (c0 != 0) return;
+      for (std::int64_t s = s0; s < s0 + cn; ++s) {
+        for (std::int64_t oc = r0; oc < r1; ++oc) {
+          const float* plane = grad_output.data() + (s * o + oc) * ohow;
+          float acc = 0.0f;
+          for (std::int64_t i = 0; i < ohow; ++i) acc += plane[i];
+          grad_bias[oc] += acc;
+        }
+      }
+    });
   }
 }
 

@@ -97,6 +97,16 @@ void conv2d_forward_into(const Tensor& input, const Tensor& weight,
 
 /// Gradients of conv2d. grad_output is [N,O,OH,OW]; fills grad_input
 /// (same shape as input), grad_weight, grad_bias (accumulated over batch).
+/// The batch runs on the pool in two passes over an im2col panel of
+/// consecutive samples (bounded by a fixed budget; a larger batch runs in
+/// chunks, in sample order): sample tiles compute the column gradient as one
+/// wide GEMM each and scatter it back per sample, then grad_weight tiles add
+/// every sample's contribution onto their own elements, sample by sample,
+/// and sum grad_bias the same way. Every element of all three gradients goes
+/// through exactly the floating-point operations, in the same order, of one
+/// im2col, one dW gemm_rows (beta 1), one dCols gemm_rows and one col2im per
+/// sample in batch order, on either backend: the results are bit-identical
+/// to that per-sample loop.
 void conv2d_backward(const Tensor& input, const Tensor& weight,
                      const Tensor& grad_output, const Conv2dSpec& spec,
                      Tensor& grad_input, Tensor& grad_weight,

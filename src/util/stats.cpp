@@ -151,17 +151,24 @@ double effective_sample_size(const std::vector<double>& xs) {
 }
 
 double gelman_rubin(const std::vector<std::vector<double>>& chains) {
+  std::vector<const std::vector<double>*> views;
+  views.reserve(chains.size());
+  for (const auto& c : chains) views.push_back(&c);
+  return gelman_rubin(views);
+}
+
+double gelman_rubin(std::span<const std::vector<double>* const> chains) {
   const std::size_t m = chains.size();
   BDLFI_CHECK_MSG(m >= 2, "gelman_rubin needs at least two chains");
-  std::size_t n = chains[0].size();
-  for (const auto& c : chains) n = std::min(n, c.size());
+  std::size_t n = chains[0]->size();
+  for (const auto* c : chains) n = std::min(n, c->size());
   BDLFI_CHECK_MSG(n >= 2, "gelman_rubin needs chains of length >= 2");
 
   std::vector<double> means(m), vars(m);
   double grand = 0.0;
   for (std::size_t j = 0; j < m; ++j) {
     RunningStats rs;
-    for (std::size_t i = 0; i < n; ++i) rs.add(chains[j][i]);
+    for (std::size_t i = 0; i < n; ++i) rs.add((*chains[j])[i]);
     means[j] = rs.mean();
     vars[j] = rs.variance();
     grand += rs.mean();

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -83,6 +84,8 @@ double effective_sample_size(const std::vector<double>& xs);
 /// classic form) over m chains of equal length. Values near 1 indicate the
 /// chains have mixed; the paper's "completeness" criterion thresholds this.
 double gelman_rubin(const std::vector<std::vector<double>>& chains);
+/// The same, over chains held elsewhere: the samples are not copied.
+double gelman_rubin(std::span<const std::vector<double>* const> chains);
 
 /// Spearman rank correlation with midranks for ties (Pearson correlation of
 /// the rank vectors). Returns 0 for degenerate (constant) inputs.

@@ -2,12 +2,14 @@
 // locking, the worker's deterministic result document, and the crash-tolerant
 // multiprocess runner — SIGKILL mid-round resumes to a byte-identical pooled
 // result, retry exhaustion quarantines the campaign without failing the rest,
-// and a held lock rejects a second campaign on the same checkpoint dir.
+// a stale stream in a reused output dir counts no rounds, and a held lock
+// rejects a second campaign on the same checkpoint dir.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -479,6 +481,59 @@ TEST_F(FleetRunTest, SigkillMidRoundResumesToByteIdenticalResults) {
 
   std::filesystem::remove_all(out_clean);
   std::filesystem::remove_all(out_chaos);
+}
+
+TEST_F(FleetRunTest, StaleStreamInReusedOutDirCountsNoRounds) {
+  const FleetSpec fleet = two_campaign_fleet();
+  // The rounds the supervisor counted on each campaign's stream, as its
+  // worker_exit events (fleet.jsonl) report them.
+  const auto run = [&fleet](const std::string& out_dir,
+                            std::map<std::string, std::size_t>* rounds) {
+    FleetOptions options;
+    options.out_dir = out_dir;
+    options.quiet = true;
+    options.poll_interval_ms = 2.0;
+    options.event_hook = [rounds](const WorkerEvent& e) {
+      if (e.type == "worker_exit") (*rounds)[e.campaign] += e.rounds;
+    };
+    return run_fleet(fleet, options);
+  };
+
+  const std::string out_clean = fresh_dir("stale_clean");
+  std::map<std::string, std::size_t> clean_rounds;
+  const FleetResult clean = run(out_clean, &clean_rounds);
+
+  // A reused --out: each campaign's first-attempt stream still holds an
+  // earlier run's round events. The supervisor polls a stream from the fork
+  // on, before the worker's reporter truncates it.
+  const std::string out_reused = fresh_dir("stale_reused");
+  for (const CampaignSpec& spec : fleet.campaigns) {
+    std::string stale;
+    for (int round = 1; round <= 5; ++round) {
+      stale += R"({"event":"round","round":)" + std::to_string(round) + "}\n";
+    }
+    write_file(worker_paths(out_reused, spec.name, 1).metrics_path, stale);
+  }
+  std::map<std::string, std::size_t> reused_rounds;
+  const FleetResult reused = run(out_reused, &reused_rounds);
+
+  ASSERT_EQ(clean.campaigns.size(), 2u);
+  ASSERT_EQ(reused.campaigns.size(), 2u);
+  for (std::size_t i = 0; i < clean.campaigns.size(); ++i) {
+    const std::string& name = fleet.campaigns[i].name;
+    EXPECT_EQ(clean_rounds[name], 3u) << name;
+    EXPECT_EQ(reused_rounds[name], clean_rounds[name]) << name;
+    EXPECT_EQ(reused.campaigns[i].rounds, clean.campaigns[i].rounds) << name;
+    EXPECT_EQ(reused.campaigns[i].attempts, 1u) << name;
+    const std::string clean_doc =
+        read_file(worker_paths(out_clean, name, 1).result_path);
+    ASSERT_FALSE(clean_doc.empty()) << name;
+    EXPECT_EQ(read_file(worker_paths(out_reused, name, 1).result_path),
+              clean_doc)
+        << name;
+  }
+  std::filesystem::remove_all(out_clean);
+  std::filesystem::remove_all(out_reused);
 }
 
 TEST_F(FleetRunTest, RetryExhaustionQuarantinesWithoutFailingTheRest) {

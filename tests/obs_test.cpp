@@ -157,6 +157,38 @@ TEST(Json, WriterParserRoundtrip) {
   EXPECT_EQ(xs[3].find("k")->as_string(), "v");
 }
 
+// Checkpoints are written out chain by chain: text taken and cleared
+// between values must concatenate to the document written in one piece.
+TEST(Json, WriterClearedBetweenPiecesConcatenatesToTheWholeDocument) {
+  const auto write = [](JsonWriter& w, const auto& piece_done) {
+    w.begin_object();
+    w.field("schema", "s");
+    w.key("chains").begin_array();
+    for (int c = 0; c < 3; ++c) {
+      w.begin_object().field("chain", std::uint64_t(c));
+      w.key("xs").begin_array();
+      for (int i = 0; i < c + 2; ++i) w.number_exact(0.1 * i);
+      w.end_array().end_object();
+      piece_done();
+    }
+    w.end_array();
+    w.field("after", true);
+    w.end_object();
+    piece_done();
+  };
+  JsonWriter whole;
+  write(whole, [] {});
+  JsonWriter pieces;
+  std::string joined;
+  write(pieces, [&] {
+    joined += pieces.str();
+    pieces.clear_text();
+  });
+  EXPECT_TRUE(pieces.str().empty());
+  EXPECT_EQ(joined, whole.str());
+  ASSERT_TRUE(json_parse(joined).has_value()) << joined;
+}
+
 TEST(Json, NonFiniteNumbersSerializeAsNull) {
   JsonWriter w;
   w.begin_object();

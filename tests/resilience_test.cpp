@@ -23,6 +23,7 @@
 #include "nn/builders.h"
 #include "tensor/backend/backend.h"
 #include "train/trainer.h"
+#include "util/atomic_file.h"
 #include "util/interrupt.h"
 #include "util/rng.h"
 
@@ -318,6 +319,52 @@ TEST(Checkpoint, SkipCounterRoundTripsAndDefaultsToZero) {
     EXPECT_FALSE(load_edited(bad).has_value());
     EXPECT_FALSE(error.empty());
   }
+  std::filesystem::remove_all(dir);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(AtomicTextWriter, PiecesWriteTheSameFileAsOneText) {
+  const std::string dir = ::testing::TempDir() + "bdlfi_atomic_pieces";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string whole = dir + "/whole.json", split = dir + "/split.json";
+  ASSERT_TRUE(util::write_text_atomic(whole, "{\"a\":[1,2],\"b\":3}"));
+  util::AtomicTextWriter file(split);
+  for (const char* piece : {"{\"a\":[1,", "2],", "", "\"b\":3}"}) {
+    ASSERT_TRUE(file.append(piece));
+  }
+  EXPECT_FALSE(std::filesystem::exists(split));  // not before the commit
+  ASSERT_TRUE(file.commit());
+  EXPECT_EQ(read_file(split), "{\"a\":[1,2],\"b\":3}\n");
+  EXPECT_EQ(read_file(split), read_file(whole));
+  EXPECT_FALSE(std::filesystem::exists(split + ".tmp"));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(AtomicTextWriter, UncommittedOrFailedWritesLeaveThePreviousFile) {
+  const std::string dir = ::testing::TempDir() + "bdlfi_atomic_abandon";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/campaign.ckpt.json";
+  ASSERT_TRUE(util::write_text_atomic(path, "old"));
+  {
+    util::AtomicTextWriter file(path);
+    ASSERT_TRUE(file.append("new, but never committed"));
+  }
+  EXPECT_EQ(read_file(path), "old\n");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+  // No directory to write into: every step fails and nothing appears.
+  util::AtomicTextWriter lost(dir + "/missing/file.json");
+  EXPECT_FALSE(lost.append("x"));
+  EXPECT_FALSE(lost.commit());
+  EXPECT_FALSE(std::filesystem::exists(dir + "/missing"));
   std::filesystem::remove_all(dir);
 }
 
@@ -691,6 +738,69 @@ TEST_F(ResilienceTest, ResumeFromDocumentWithoutSkipCounterIsBitExact) {
   RunnerConfig base = small_runner();
   expect_resume_is_bit_exact(base, "resume_old_document",
                              /*strip_skip_counter=*/true);
+}
+
+// The runner keeps one copy of its cumulative streams, lends it to each
+// checkpoint and hands it to final_result on return: the returned streams
+// are the last checkpoint's, whether the campaign ran out or was
+// interrupted, and a campaign stopped before its first round pools nothing.
+TEST_F(ResilienceTest, FinalStreamsAreTheLastCheckpointsStreams) {
+  const double p = 1e-3;
+  TargetFactory factory = [p](bayes::BayesianFaultNetwork& net) {
+    return std::make_unique<bayes::PriorTarget>(net, p);
+  };
+  const auto expect_same_streams = [](const CompletenessResult& result,
+                                      const std::string& dir) {
+    std::string error;
+    const auto ck = load_checkpoint(checkpoint_path(dir), &error);
+    ASSERT_TRUE(ck.has_value()) << error;
+    EXPECT_EQ(ck->rounds_completed, result.rounds);
+    const std::vector<ChainResult>& chains = result.final_result.chains;
+    ASSERT_EQ(chains.size(), ck->chains.size());
+    std::size_t samples = 0;
+    for (std::size_t c = 0; c < chains.size(); ++c) {
+      expect_bitwise_equal(chains[c].error_samples,
+                           ck->chains[c].error_samples);
+      expect_bitwise_equal(chains[c].deviation_samples,
+                           ck->chains[c].deviation_samples);
+      expect_bitwise_equal(chains[c].flips_samples,
+                           ck->chains[c].flips_samples);
+      EXPECT_EQ(chains[c].network_evals, ck->chains[c].network_evals);
+      EXPECT_EQ(chains[c].forwards_skipped, ck->chains[c].forwards_skipped);
+      samples += chains[c].error_samples.size();
+    }
+    EXPECT_EQ(samples, result.final_result.total_samples);
+    EXPECT_EQ(samples, result.rounds * chains.size() * 25);
+  };
+
+  const std::string dir = fresh_dir("final_streams");
+  RunnerConfig config = small_runner();
+  config.checkpoint_dir = dir;
+  const CompletenessResult full =
+      run_until_complete(*bfn_, factory, p, config, never_converge(3));
+  ASSERT_EQ(full.rounds, 3u);
+  expect_same_streams(full, dir);
+
+  std::filesystem::remove_all(dir);
+  config.round_hook = [](const obs::RoundEvent& e) {
+    if (e.round == 2) util::set_interrupt_requested(true);
+  };
+  const CompletenessResult partial =
+      run_until_complete(*bfn_, factory, p, config, never_converge(3));
+  EXPECT_TRUE(partial.interrupted);
+  ASSERT_EQ(partial.rounds, 2u);
+  expect_same_streams(partial, dir);
+
+  std::filesystem::remove_all(dir);
+  util::set_interrupt_requested(true);
+  const CompletenessResult none =
+      run_until_complete(*bfn_, factory, p, config, never_converge(3));
+  util::set_interrupt_requested(false);
+  EXPECT_TRUE(none.interrupted);
+  EXPECT_EQ(none.rounds, 0u);
+  EXPECT_TRUE(none.final_result.chains.empty());
+  EXPECT_FALSE(std::filesystem::exists(checkpoint_path(dir)));
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(ResilienceTest, ResumeRejectsCursorOutsideTheSpace) {

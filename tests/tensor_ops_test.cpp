@@ -1,12 +1,13 @@
 // Numeric kernels vs naive references: GEMM (all transpose combos), softmax,
 // im2col/conv/pool forward & backward gradient checks, and bit-exactness of
-// the fused-panel conv against per-sample GEMMs.
+// the fused-panel conv, forward and backward, against per-sample GEMMs.
 #include "tensor/ops.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -296,6 +297,116 @@ TEST(Conv2d, PanelPathBitIdenticalToPerSampleGemms) {
                                     sizeof(float)),
                     0);
         }
+      }
+    }
+  }
+  ASSERT_TRUE(backend::set_active(restore));
+}
+
+// The per-sample arithmetic conv2d_backward ran before it moved onto wide
+// panels: for each sample in order, one im2col, the dW gemm_rows adding onto
+// the running grad_weight (beta 1), the dCols gemm_rows, col2im into the
+// sample's zeroed input gradient, and the per-plane bias sums.
+void per_sample_conv2d_backward(const Tensor& input, const Tensor& weight,
+                                const Tensor& grad_output,
+                                const Conv2dSpec& spec, Tensor& grad_input,
+                                Tensor& grad_weight, Tensor& grad_bias) {
+  const std::int64_t n = input.shape()[0], c = input.shape()[1],
+                     h = input.shape()[2], w = input.shape()[3];
+  const std::int64_t o = weight.shape()[0];
+  const std::int64_t ohow = spec.out_h(h) * spec.out_w(w);
+  const std::int64_t patch = c * spec.kernel_h * spec.kernel_w;
+  const backend::KernelBackend& be = backend::active();
+  grad_input = Tensor{input.shape()};
+  grad_weight = Tensor{weight.shape()};
+  grad_bias = Tensor{Shape{o}};
+  std::vector<float> cols(static_cast<std::size_t>(patch * ohow));
+  std::vector<float> dcols(cols.size());
+  for (std::int64_t s = 0; s < n; ++s) {
+    const float* dout = grad_output.data() + s * o * ohow;
+    im2col(input.data() + s * c * h * w, c, h, w, spec, cols.data());
+    be.gemm_rows(false, true, 0, o, patch, ohow, 1.0f, dout, ohow,
+                 cols.data(), ohow, 1.0f, grad_weight.data(), patch);
+    be.gemm_rows(true, false, 0, patch, ohow, o, 1.0f, weight.data(), patch,
+                 dout, ohow, 0.0f, dcols.data(), ohow);
+    col2im(dcols.data(), c, h, w, spec, grad_input.data() + s * c * h * w);
+    for (std::int64_t oc = 0; oc < o; ++oc) {
+      float acc = 0.0f;
+      for (std::int64_t i = 0; i < ohow; ++i) acc += dout[oc * ohow + i];
+      grad_bias[oc] += acc;
+    }
+  }
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) ==
+             0;
+}
+
+TEST(Conv2d, BackwardPanelPathBitIdenticalToPerSampleGemms) {
+  struct Case {
+    std::int64_t c, o, hw, kernel, stride, pad, n;
+  };
+  // The forward parity test's geometries (OH*OW = 1, 4, 16, 256, stride 2
+  // with and without padding, a 1x1 projection) at n = 1, 7 and 64, plus
+  // one batch whose [144, 16*1024] im2col panel (2.4M floats) exceeds the
+  // backward's panel budget, so the batch runs in consecutive chunks.
+  std::vector<Case> cases;
+  for (const std::int64_t n : {1, 7, 64}) {
+    for (Case k : {Case{8, 16, 1, 3, 1, 1, 0}, Case{16, 5, 2, 3, 1, 1, 0},
+                   Case{3, 8, 4, 3, 1, 1, 0}, Case{4, 6, 16, 3, 1, 1, 0},
+                   Case{6, 12, 8, 3, 2, 1, 0}, Case{8, 16, 4, 1, 2, 0, 0}}) {
+      k.n = n;
+      cases.push_back(k);
+    }
+  }
+  cases.push_back({16, 8, 32, 3, 1, 1, 16});
+  // Exact zeros in grad_output (a ReLU's backward makes them) take scalar's
+  // zero skip in the dW GEMM; +-inf and NaN weights (training through
+  // corrupted forwards makes them) reach the dCols GEMM.
+  enum class Values { kDense, kZeros, kNonFinite };
+  const std::string restore = backend::active_name();
+  for (const std::string& name : backend::available()) {
+    ASSERT_TRUE(backend::set_active(name));
+    util::Rng rng{13};
+    for (const Case& k : cases) {
+      for (const Values values :
+           {Values::kDense, Values::kZeros, Values::kNonFinite}) {
+        SCOPED_TRACE(name + " c=" + std::to_string(k.c) +
+                     " hw=" + std::to_string(k.hw) +
+                     " kernel=" + std::to_string(k.kernel) +
+                     " stride=" + std::to_string(k.stride) +
+                     " n=" + std::to_string(k.n) +
+                     " values=" + std::to_string(static_cast<int>(values)));
+        Conv2dSpec spec;
+        spec.kernel_h = spec.kernel_w = k.kernel;
+        spec.stride = k.stride;
+        spec.set_pad(k.pad);
+        const Tensor input = Tensor::randn(Shape{k.n, k.c, k.hw, k.hw}, rng);
+        Tensor weight = Tensor::randn(Shape{k.o, k.c, k.kernel, k.kernel}, rng);
+        Tensor grad_output = Tensor::randn(
+            Shape{k.n, k.o, spec.out_h(k.hw), spec.out_w(k.hw)}, rng);
+        if (values == Values::kZeros) {
+          for (std::int64_t i = 0; i < grad_output.numel(); i += 2) {
+            grad_output[i] = 0.0f;
+          }
+          grad_output[grad_output.numel() - 1] = 0.0f;
+        }
+        if (values == Values::kNonFinite) {
+          weight[0] = std::numeric_limits<float>::infinity();
+          weight[weight.numel() / 2] = -std::numeric_limits<float>::infinity();
+          weight[weight.numel() - 1] = std::numeric_limits<float>::quiet_NaN();
+          grad_output[0] = 0.0f;
+        }
+        Tensor gi, gw, gb, want_gi, want_gw, want_gb;
+        conv2d_backward(input, weight, grad_output, spec, gi, gw, gb);
+        per_sample_conv2d_backward(input, weight, grad_output, spec, want_gi,
+                                   want_gw, want_gb);
+        EXPECT_TRUE(same_bits(gi, want_gi)) << "grad_input";
+        EXPECT_TRUE(same_bits(gw, want_gw)) << "grad_weight";
+        EXPECT_TRUE(same_bits(gb, want_gb)) << "grad_bias";
       }
     }
   }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "util/rng.h"
 
@@ -154,6 +155,23 @@ TEST(GelmanRubin, SeparatedChainsLarge) {
 TEST(GelmanRubin, ConstantIdenticalChainsIsOne) {
   std::vector<std::vector<double>> chains(3, std::vector<double>(10, 1.5));
   EXPECT_DOUBLE_EQ(gelman_rubin(chains), 1.0);
+}
+
+// The campaign runner pools chains it does not copy; the pointer form must
+// give the same bits as the copying form, unequal chain lengths included.
+TEST(GelmanRubin, ChainPointersMatchChainCopiesBitForBit) {
+  Rng rng{8};
+  std::vector<std::vector<double>> chains(3);
+  for (std::size_t j = 0; j < chains.size(); ++j) {
+    for (std::size_t i = 0; i < 300 + 7 * j; ++i) {
+      chains[j].push_back(rng.normal(0.1 * static_cast<double>(j), 1.0));
+    }
+  }
+  const std::vector<const std::vector<double>*> views{&chains[0], &chains[1],
+                                                      &chains[2]};
+  const double copied = gelman_rubin(chains), viewed = gelman_rubin(views);
+  EXPECT_EQ(std::memcmp(&copied, &viewed, sizeof(double)), 0)
+      << copied << " vs " << viewed;
 }
 
 TEST(Spearman, PerfectMonotoneIsOne) {
